@@ -45,127 +45,3 @@ pub trait Component {
     /// (§5.1.1's consistency requirement).
     fn internal_dt(&self) -> f64;
 }
-
-/// A trivial component used to test coupler sequencing without heavy
-/// models (and exercised by the sequencing unit tests).
-pub struct NullComponent {
-    pub nameplate: &'static str,
-    pub phase: ComponentPhase,
-    pub simulated: f64,
-    pub dt: f64,
-    pub last_import: Option<f64>,
-}
-
-impl NullComponent {
-    pub fn new(name: &'static str, dt: f64) -> Self {
-        NullComponent {
-            nameplate: name,
-            phase: ComponentPhase::Created,
-            simulated: 0.0,
-            dt,
-            last_import: None,
-        }
-    }
-}
-
-impl Component for NullComponent {
-    fn name(&self) -> &'static str {
-        self.nameplate
-    }
-
-    fn init(&mut self) {
-        assert_eq!(self.phase, ComponentPhase::Created, "double init");
-        self.phase = ComponentPhase::Initialized;
-    }
-
-    fn run(&mut self, seconds: f64) {
-        assert!(
-            matches!(
-                self.phase,
-                ComponentPhase::Initialized | ComponentPhase::Running
-            ),
-            "run before init"
-        );
-        self.phase = ComponentPhase::Running;
-        // The coupling period must be a whole number of internal steps.
-        let steps = seconds / self.dt;
-        assert!(
-            (steps - steps.round()).abs() < 1e-9,
-            "coupling period {seconds} not a multiple of dt {}",
-            self.dt
-        );
-        self.simulated += seconds;
-    }
-
-    fn finalize(&mut self) {
-        self.phase = ComponentPhase::Finalized;
-    }
-
-    fn phase(&self) -> ComponentPhase {
-        self.phase
-    }
-
-    fn import(&mut self, av: &AttrVect) {
-        if av.num_fields() > 0 {
-            let name = av.field_names()[0].to_string();
-            self.last_import = av.get(&name).first().copied();
-        }
-    }
-
-    fn export(&self, av: &mut AttrVect) {
-        let names: Vec<String> = av.field_names().iter().map(|s| s.to_string()).collect();
-        for name in names {
-            let n = av.npoints();
-            av.set(&name, &vec![self.simulated; n]);
-        }
-    }
-
-    fn internal_dt(&self) -> f64 {
-        self.dt
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lifecycle_enforced() {
-        let mut c = NullComponent::new("atm", 120.0);
-        assert_eq!(c.phase(), ComponentPhase::Created);
-        c.init();
-        c.run(480.0);
-        c.run(480.0);
-        assert_eq!(c.simulated, 960.0);
-        c.finalize();
-        assert_eq!(c.phase(), ComponentPhase::Finalized);
-    }
-
-    #[test]
-    #[should_panic(expected = "run before init")]
-    fn run_before_init_panics() {
-        let mut c = NullComponent::new("ocn", 100.0);
-        c.run(100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn inconsistent_coupling_period_panics() {
-        let mut c = NullComponent::new("ocn", 700.0);
-        c.init();
-        c.run(2400.0);
-    }
-
-    #[test]
-    fn import_export_roundtrip() {
-        let mut c = NullComponent::new("ice", 480.0);
-        c.init();
-        c.run(960.0);
-        let mut av = AttrVect::new(3, &["ifrac"]);
-        c.export(&mut av);
-        assert_eq!(av.get("ifrac"), &[960.0, 960.0, 960.0]);
-        let mut d = NullComponent::new("ocn", 480.0);
-        d.import(&av);
-        assert_eq!(d.last_import, Some(960.0));
-    }
-}

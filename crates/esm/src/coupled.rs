@@ -12,12 +12,19 @@
 //!
 //! Data crosses domains through GSMap/Router rearrangement (`ap3esm-cpl`),
 //! under the coupling clock's 180/36/180-per-day cadence (configurable).
+//!
+//! Both of §5.1.2's layouts run through one loop: rank 0 holds a
+//! `CouplerSide` (domain A), every rank owning ocean columns an
+//! `OceanSide` (domain O), and the sequential `single_domain` layout
+//! simply puts both on rank 0. Every rank runs the same per-coupling
+//! message sequence and the same recovery path over whichever sides it
+//! holds.
 
 use ap3esm_atm::dycore::{Dycore, DycoreConfig};
 use ap3esm_atm::pdc::{PhysicsDriver, PhysicsDynamicsCoupler, SurfaceForcing};
 use ap3esm_atm::state::AtmState;
 use ap3esm_atm::vortex::{seed_vortex, track_vortex, TrackPoint, VortexSpec};
-use ap3esm_comm::Rank;
+use ap3esm_comm::{collectives, Rank};
 use ap3esm_cpl::clock::CouplingClock;
 use ap3esm_cpl::fluxes::{blended_surface_temperature, merge_ocean_forcing};
 use ap3esm_cpl::gsmap::GSMap;
@@ -31,6 +38,7 @@ use ap3esm_grid::tripolar::TripolarGrid;
 use ap3esm_grid::GeodesicGrid;
 use ap3esm_ice::{IceForcing, IceModel};
 use ap3esm_lnd::{LndForcing, LndModel};
+use ap3esm_obs::FrKind;
 use ap3esm_ocn::model::{OcnConfig, OcnForcing, OcnModel};
 use ap3esm_physics::constants::{temperature_from_theta, STEFAN_BOLTZMANN};
 use ap3esm_physics::surface::{bulk_fluxes, BulkCoefficients};
@@ -447,11 +455,7 @@ impl CoupledStats {
                 }
                 out.push((
                     format!("perf.sim.critpath.section.{}.on_path_s", s.name),
-                    Stat::single(
-                        s.on_path_us() as f64 / 1e6,
-                        "s",
-                        Direction::Informational,
-                    ),
+                    Stat::single(s.on_path_us() as f64 / 1e6, "s", Direction::Informational),
                 ));
             }
             if let Some(w) = &a.what_if_half_top {
@@ -463,35 +467,23 @@ impl CoupledStats {
         }
         if let Some(json) = &self.report_json {
             if let Ok(report) = ap3esm_obs::json::Json::parse(json) {
-                let comm = report.get("comm");
-                for (field, metric) in [
-                    ("total_bytes", "perf.sim.comm_bytes"),
-                    ("total_messages", "perf.sim.comm_msgs"),
+                for (group, field, metric, unit) in [
+                    ("comm", "total_bytes", "perf.sim.comm_bytes", "bytes"),
+                    ("comm", "total_messages", "perf.sim.comm_msgs", "msgs"),
+                    (
+                        "metrics",
+                        "io.write.bytes",
+                        "perf.sim.io_write_bytes",
+                        "bytes",
+                    ),
                 ] {
-                    if let Some(v) = comm.and_then(|c| c.get(field)).and_then(|v| v.as_f64()) {
+                    let value = report.get(group).and_then(|g| g.get(field));
+                    if let Some(v) = value.and_then(|v| v.as_f64()) {
                         out.push((
                             metric.to_string(),
-                            Stat::single(
-                                v,
-                                if field == "total_bytes" {
-                                    "bytes"
-                                } else {
-                                    "msgs"
-                                },
-                                Direction::Informational,
-                            ),
+                            Stat::single(v, unit, Direction::Informational),
                         ));
                     }
-                }
-                if let Some(v) = report
-                    .get("metrics")
-                    .and_then(|m| m.get("io.write.bytes"))
-                    .and_then(|v| v.as_f64())
-                {
-                    out.push((
-                        "perf.sim.io_write_bytes".to_string(),
-                        Stat::single(v, "bytes", Direction::Informational),
-                    ));
                 }
             }
         }
@@ -584,27 +576,12 @@ fn read_aux(dir: &std::path::Path, name: &str, want: usize) -> Result<Vec<f64>, 
     Ok(data)
 }
 
-/// All-ranks "did your checkpoint load succeed" vote: `Ok(true)` only if
-/// every rank loaded cleanly. A comm error means the vote itself could not
-/// complete (a peer vanished mid-restore) and is escalated by the caller.
-fn try_vote_all_ok(rank: &Rank, ok: bool) -> Result<bool, ap3esm_comm::CommError> {
-    let mine: f64 = if ok { 1.0 } else { 0.0 };
-    let all =
-        ap3esm_comm::collectives::allreduce(rank, CKPT_OK_TAG, vec![mine], |a: &f64, b| a.min(*b))?
-            [0];
-    Ok(all >= 1.0)
-}
-
-/// [`try_vote_all_ok`] for the rollback path, where the health agreement
-/// has already established that every member is alive.
-fn vote_all_ok(rank: &Rank, ok: bool) -> bool {
-    try_vote_all_ok(rank, ok).expect("checkpoint vote")
-}
-
-/// Rank 0 announces which committed checkpoint a rollback restores
+/// Rank 0 announces the newest committed checkpoint a rollback restores
 /// (`-1` = none left); every rank returns the agreed id.
-fn agree_candidate(rank: &Rank, mine: i64) -> i64 {
-    ap3esm_comm::collectives::bcast(rank, CKPT_ID_TAG, 0, vec![mine]).expect("checkpoint id")[0]
+fn agree_candidate(rank: &Rank, store: &CheckpointStore) -> i64 {
+    let newest = (rank.id() == 0).then(|| store.latest()).flatten();
+    let mine = newest.map_or(-1, |i| i as i64);
+    collectives::bcast(rank, CKPT_ID_TAG, 0, vec![mine]).expect("checkpoint id")[0]
 }
 
 /// The per-ocean-coupling health agreement (severity max-reduce), with a
@@ -695,7 +672,7 @@ fn agree_survivors(
     ap3esm_obs::instant("health.agreement_lost");
     fr_record(
         rank,
-        ap3esm_obs::FrKind::Health,
+        FrKind::Health,
         2,
         blamed.map(|b| b as u64).unwrap_or(u64::MAX),
         &format!("health agreement failed: {err}"),
@@ -724,7 +701,7 @@ fn agree_survivors(
             ));
             fr_record(
                 rank,
-                ap3esm_obs::FrKind::Shrink,
+                FrKind::Shrink,
                 m.generation,
                 m.members.len() as u64,
                 &format!("survivors {:?}", m.members),
@@ -741,6 +718,51 @@ fn agree_survivors(
             "evicted from the world during membership agreement: {e}"
         )),
     }
+}
+
+/// Shrink-to-fit hand-off, after the membership vote installed the
+/// survivors' world: rank 0 redistributes the last committed checkpoint
+/// from `decomp` onto the survivor layout and announces its id (-1 =
+/// nothing usable). Every survivor returns the hand-off directory to
+/// rebuild the next generation from, or `None` if there is none.
+fn hand_off_checkpoint(
+    rank: &Rank,
+    store: &CheckpointStore,
+    grid: &TripolarGrid,
+    decomp: &BlockDecomp2d,
+) -> Option<std::path::PathBuf> {
+    let dst = store.root().join(format!("shrunk_g{}", rank.generation()));
+    let mut sig = -1i64;
+    if let Some(cand) = (rank.id() == 0).then(|| store.latest()).flatten() {
+        let survivors = BlockDecomp2d::auto(decomp.nlon, decomp.nlat, rank.size() - 1);
+        let _ = std::fs::remove_dir_all(&dst);
+        match crate::restart::redistribute_ocn_restart(
+            &store.dir(cand),
+            &dst,
+            grid,
+            decomp,
+            &survivors,
+        ) {
+            Ok(()) => sig = cand as i64,
+            Err(e) => eprintln!("[resilience] checkpoint redistribution failed: {e}"),
+        }
+    }
+    let cand = collectives::bcast(rank, CKPT_ID_TAG, 0, vec![sig]).ok()?[0];
+    if cand < 0 {
+        return None;
+    }
+    if rank.id() == 0 {
+        let degraded = rank.world_size() - rank.size();
+        ap3esm_obs::instant("recovery.shrink");
+        ap3esm_obs::counter_add("resilience.shrinks", 1);
+        ap3esm_obs::gauge_set("sim.degraded_ranks", degraded as f64);
+        eprintln!(
+            "[resilience] shrink-to-fit: continuing degraded on {} of {} ranks from checkpoint {cand}",
+            rank.size(),
+            rank.world_size()
+        );
+    }
+    Some(dst)
 }
 
 /// Count a guard verdict on the obs registry; returns the verdict back.
@@ -768,13 +790,7 @@ fn begin_rollback(rank: &Rank, resil: &mut Resilience, reason: &str) -> Option<R
     resil.recoveries += 1;
     ap3esm_obs::counter_add("resilience.rollbacks", 1);
     ap3esm_obs::instant("rollback");
-    fr_record(
-        rank,
-        ap3esm_obs::FrKind::Recovery,
-        resil.recoveries as u64,
-        0,
-        reason,
-    );
+    fr_record(rank, FrKind::Recovery, resil.recoveries as u64, 0, reason);
     if resil.recoveries > resil.cfg.max_recoveries {
         return Some(RecoveryFailure {
             recoveries_attempted: resil.recoveries - 1,
@@ -802,7 +818,7 @@ fn commit_checkpoint(rank: &Rank, resil: &mut Resilience, id: u64) {
     .expect("checkpoint commit");
     ap3esm_obs::counter_add("resilience.checkpoints", 1);
     ap3esm_obs::instant("checkpoint.commit");
-    fr_record(rank, ap3esm_obs::FrKind::CkptCommit, id, 0, "");
+    fr_record(rank, FrKind::CkptCommit, id, 0, "");
     if let Some(inj) = rank.fault_injector() {
         let corruptions: Vec<(String, u32, u64)> = inj
             .plan()
@@ -828,6 +844,461 @@ fn commit_checkpoint(rank: &Rank, resil: &mut Resilience, id: u64) {
             }
         }
     }
+}
+
+/// The coupler side of one world generation, held by rank 0: the
+/// atmosphere (state, dycore, physics coupler), land, sea ice, the remap
+/// matrices, and the rank-0 global copies of the ocean/ice surface state
+/// the flux merge reads.
+struct CouplerSide {
+    grid: std::sync::Arc<GeodesicGrid>,
+    atm: AtmState,
+    dycore: Dycore,
+    pdc: PhysicsDynamicsCoupler,
+    guard: AtmGuard,
+    atm_land: Vec<bool>,
+    lnd: LndModel,
+    ice: IceModel,
+    atm_to_ocn: RemapMatrix,
+    ocn_to_atm: RemapMatrix,
+    ocn_valid: Vec<bool>,
+    sst: Vec<f64>,
+    ssu: Vec<f64>,
+    ssv: Vec<f64>,
+    ice_frac: Vec<f64>,
+    ice_heat: Vec<f64>,
+    ice_fresh: Vec<f64>,
+    last_precip_accum: Vec<f64>,
+    prev_track: Option<(f64, f64)>,
+}
+
+impl CouplerSide {
+    fn new(
+        config: &CoupledConfig,
+        opts: &CoupledOptions,
+        ocn_grid: &TripolarGrid,
+        mask: &MaskGenerator,
+        atm_period: f64,
+    ) -> Self {
+        let grid = std::sync::Arc::new(GeodesicGrid::new(config.atm_glevel));
+        let n = grid.ncells();
+        let mut atm = AtmState::isothermal(std::sync::Arc::clone(&grid), config.atm_nlev, 288.0);
+        // Meridional temperature structure so the circulation is not
+        // degenerate: warm tropics, cold poles.
+        for k in 0..config.atm_nlev {
+            for i in 0..n {
+                atm.theta[k * n + i] += 15.0 * (grid.cells[i].lat().cos().powi(2) - 0.5);
+            }
+        }
+        for spec in opts.vortex.iter().chain(&opts.extra_vortices) {
+            seed_vortex(&mut atm, spec);
+        }
+        if let Some(p) = &opts.perturb {
+            for (i, th) in atm.theta.iter_mut().enumerate() {
+                *th += p.noise(i);
+            }
+        }
+        let dycore = Dycore::new(
+            std::sync::Arc::clone(&grid),
+            fitted_atm_config(grid.mean_spacing_km(), atm_period),
+        );
+        let pdc = PhysicsDynamicsCoupler::new(if config.ai_physics {
+            build_ai_driver(config.atm_nlev)
+        } else {
+            PhysicsDriver::Conventional(ConventionalSuite::default())
+        });
+        // Land on atmosphere cells, same synthetic continents; ice on the
+        // full ocean grid.
+        let (atm_land, _) = mask.land_mask(&grid.cells, 0.29);
+        let ice_decomp = BlockDecomp2d::new(config.ocn_nlon, config.ocn_nlat, 1, 1);
+        let ice = IceModel::new(ocn_grid, &ice_decomp, 0);
+        let ocn_points: Vec<Vec3> = (0..config.ocn_nlat)
+            .flat_map(|j| {
+                (0..config.ocn_nlon)
+                    .map(move |i| Vec3::from_lat_lon(ocn_grid.lat[j], ocn_grid.lon[i]))
+            })
+            .collect();
+        let ncols = ocn_grid.ncols();
+        let sst = (0..ncols)
+            .map(|c| {
+                let phi = ocn_grid.lat[c / config.ocn_nlon];
+                let base = 2.0 + 26.0 * phi.cos().powi(2);
+                match &opts.sst_pattern {
+                    Some(p) => base + p.anomaly(phi, ocn_grid.lon[c % config.ocn_nlon]),
+                    None => base,
+                }
+            })
+            .collect();
+        CouplerSide {
+            guard: AtmGuard::new(&atm, GuardConfig::default(), dycore.config.dt_dyn),
+            lnd: LndModel::new(atm_land.clone(), 285.0),
+            atm_to_ocn: RemapMatrix::inverse_distance(&grid.cells, &ocn_points, 3),
+            ocn_to_atm: RemapMatrix::inverse_distance(&ocn_points, &grid.cells, 3),
+            ocn_valid: (0..ncols).map(|c| ocn_grid.kmt[c] > 0).collect(),
+            sst,
+            ssu: vec![0.0; ncols],
+            ssv: vec![0.0; ncols],
+            ice_frac: ice.state.fraction.clone(),
+            ice_heat: vec![0.0; ncols],
+            ice_fresh: vec![0.0; ncols],
+            last_precip_accum: vec![0.0; n],
+            prev_track: None,
+            grid,
+            atm,
+            dycore,
+            pdc,
+            atm_land,
+            ice,
+        }
+    }
+
+    /// One atmosphere coupling period (physics applied at every model
+    /// step), then the land step on the atmosphere's surface fields.
+    fn run_atm(
+        &mut self,
+        clock: &CouplingClock,
+        period: f64,
+        opts: &CoupledOptions,
+        timers: &mut Timers,
+        stats: &mut CoupledStats,
+    ) {
+        timers.start("atm_run");
+        let day_of_year = 202.0 + clock.days(); // late July (Doksuri)
+        let seconds_utc = (clock.time % 86_400) as f64;
+        let n = self.grid.ncells();
+        let atm = &mut self.atm;
+        // Surface forcing seen by the atmosphere physics.
+        let sst_on_atm = self
+            .ocn_to_atm
+            .apply_masked(&self.sst, &self.ocn_valid, 15.0);
+        let ice_on_atm = self.ocn_to_atm.apply(&self.ice_frac);
+        let wet = self.lnd.wetness();
+        let mut forcing = SurfaceForcing::uniform(n, 288.0, 0.0, 1.0);
+        for i in 0..n {
+            let (phi, lam) = (self.grid.cells[i].lat(), self.grid.cells[i].lon());
+            forcing.coszr[i] = crate::solar::cos_zenith(phi, lam, day_of_year, seconds_utc);
+            if self.atm_land[i] {
+                forcing.tskin[i] = self.lnd.state.tskin[i];
+                forcing.wetness[i] = wet[i];
+            } else {
+                forcing.tskin[i] = blended_surface_temperature(sst_on_atm[i], -5.0, ice_on_atm[i]);
+                forcing.wetness[i] = 1.0;
+            }
+        }
+        let steps = (period / self.dycore.config.dt_model).round() as usize;
+        for _ in 0..steps.max(1) {
+            self.dycore.step_model_dynamics(atm);
+            self.pdc.apply(atm, &forcing, self.dycore.config.dt_model);
+        }
+        stats.theta_series.push(atm.mean_theta());
+        if opts.record_track && opts.vortex.is_some() {
+            let p = track_vortex(atm, self.prev_track, 1_500_000.0);
+            self.prev_track = Some((p.lat_deg, p.lon_deg));
+            stats.track.push(p);
+        }
+        timers.stop("atm_run");
+
+        // The land step is its own top-level section, so the critical-path
+        // analyzer and the per-section trajectory see the land model's
+        // share separately from the dycore's.
+        timers.start("lnd_run");
+        let winds = atm.surface_wind();
+        let precip: Vec<f64> = atm
+            .precip_accum
+            .iter()
+            .zip(&self.last_precip_accum)
+            .map(|(now, before)| (now - before).max(0.0) / period)
+            .collect();
+        self.last_precip_accum.copy_from_slice(&atm.precip_accum);
+        let lnd_forcing = LndForcing {
+            gsw: atm.gsw.clone(),
+            glw: atm.glw.clone(),
+            tair: (0..n)
+                .map(|i| temperature_from_theta(atm.theta[i], atm.sigma[0] * atm.ps[i]))
+                .collect(),
+            precip,
+            wind: winds.iter().map(|&(u, v)| (u * u + v * v).sqrt()).collect(),
+        };
+        self.lnd.step(&lnd_forcing, period);
+        timers.stop("lnd_run");
+    }
+
+    /// One sea-ice coupling period, forced by atmosphere fields remapped to
+    /// the ocean grid.
+    fn run_ice(&mut self, period: f64, timers: &mut Timers, stats: &mut CoupledStats) {
+        timers.start("ice_run");
+        let atm = &self.atm;
+        let winds = atm.surface_wind();
+        let tair_c: Vec<f64> = (0..self.grid.ncells())
+            .map(|i| temperature_from_theta(atm.theta[i], atm.sigma[0] * atm.ps[i]) - 273.15)
+            .collect();
+        let u_atm: Vec<f64> = winds.iter().map(|&(u, _)| u).collect();
+        let v_atm: Vec<f64> = winds.iter().map(|&(_, v)| v).collect();
+        let ice_forcing = IceForcing {
+            tair: self.atm_to_ocn.apply(&tair_c),
+            sst: self.sst.clone(),
+            flux_down: vec![0.0; self.sst.len()],
+            uwind: self.atm_to_ocn.apply(&u_atm),
+            vwind: self.atm_to_ocn.apply(&v_atm),
+            uocn: self.ssu.clone(),
+            vocn: self.ssv.clone(),
+        };
+        let export = self.ice.step(&ice_forcing, period);
+        self.ice_frac = export.fraction;
+        self.ice_heat = export.heat;
+        self.ice_fresh = export.fresh;
+        stats.ice_series.push(self.ice.ice_cover());
+        timers.stop("ice_run");
+    }
+
+    /// Atmosphere-side bulk fluxes on atm cells, remapped onto the ocean
+    /// grid and merged with the ice exports: the four forcing fields
+    /// (taux, tauy, qnet, salt flux) scattered to the ocean side.
+    fn merge_fluxes(&self) -> [Vec<f64>; 4] {
+        const OCN_ALBEDO: f64 = 0.07;
+        const EMISSIVITY: f64 = 0.97;
+        let atm = &self.atm;
+        let n = self.grid.ncells();
+        let bulk = BulkCoefficients::default();
+        let winds = atm.surface_wind();
+        let sst_on_atm = self
+            .ocn_to_atm
+            .apply_masked(&self.sst, &self.ocn_valid, 15.0);
+        let (mut taux, mut tauy) = (vec![0.0; n], vec![0.0; n]);
+        let mut qnet = vec![0.0; n];
+        let mut emp = vec![0.0; n]; // evaporation − precipitation (m/s)
+        for i in 0..n {
+            let (u, v) = winds[i];
+            let ta = temperature_from_theta(atm.theta[i], atm.sigma[0] * atm.ps[i]);
+            let ts_k = sst_on_atm[i] + 273.15;
+            let fx = bulk_fluxes(&bulk, u, v, ta, atm.q[i], atm.ps[i], ts_k, 1.0);
+            taux[i] = fx.taux;
+            tauy[i] = fx.tauy;
+            qnet[i] = atm.gsw[i] * (1.0 - OCN_ALBEDO)
+                + EMISSIVITY * (atm.glw[i] - STEFAN_BOLTZMANN * ts_k.powi(4))
+                - fx.sensible
+                - fx.latent;
+            emp[i] = fx.evaporation / 1000.0; // kg/m²/s → m/s
+        }
+        let [taux_o, tauy_o, qnet_o, emp_o] =
+            [taux, tauy, qnet, emp].map(|f| self.atm_to_ocn.apply(&f));
+        let mut out: [Vec<f64>; 4] = Default::default();
+        for c in 0..self.sst.len() {
+            let merged = merge_ocean_forcing(
+                taux_o[c],
+                tauy_o[c],
+                qnet_o[c],
+                emp_o[c],
+                self.ice_frac[c],
+                self.ice_heat[c],
+                self.ice_fresh[c],
+            );
+            out[0].push(merged.taux);
+            out[1].push(merged.tauy);
+            out[2].push(merged.qnet);
+            out[3].push(merged.salt_flux);
+        }
+        out
+    }
+
+    /// Unweighted global mean SST (°C) over wet columns.
+    fn mean_sst(&self) -> f64 {
+        let wet = self.sst.iter().zip(&self.ocn_valid).filter(|(_, &w)| w);
+        let (sum, cnt) = wet.fold((0.0f64, 0.0f64), |(s, n), (t, _)| (s + t, n + 1.0));
+        sum / cnt.max(1.0)
+    }
+
+    fn check(&self) -> HealthVerdict {
+        self.guard.check(&self.atm)
+    }
+
+    /// The non-restart-layer checkpoint fields, in write order (one table
+    /// for both directions, hence `&mut`).
+    fn aux_fields(&mut self) -> [(&'static str, &mut Vec<f64>); 12] {
+        [
+            ("lnd_tskin", &mut self.lnd.state.tskin),
+            ("lnd_moist", &mut self.lnd.state.moisture),
+            ("ice_frac", &mut self.ice.state.fraction),
+            ("ice_thick", &mut self.ice.state.thickness),
+            ("ice_tsfc", &mut self.ice.state.tsfc),
+            ("cpl_sst", &mut self.sst),
+            ("cpl_ssu", &mut self.ssu),
+            ("cpl_ssv", &mut self.ssv),
+            ("cpl_icefrac", &mut self.ice_frac),
+            ("cpl_iceheat", &mut self.ice_heat),
+            ("cpl_icefresh", &mut self.ice_fresh),
+            ("cpl_precip", &mut self.last_precip_accum),
+        ]
+    }
+
+    /// Write this side's state plus the run's `cpl_meta` record: clock
+    /// time, the diagnostic series lengths and the tracker's continuity
+    /// point.
+    fn write_checkpoint(
+        &mut self,
+        dir: &std::path::Path,
+        time: i64,
+        stats: &CoupledStats,
+    ) -> Result<(), IoError> {
+        crate::restart::write_atm_restart(dir, &self.atm)?;
+        for (name, data) in self.aux_fields() {
+            write_aux(dir, name, data)?;
+        }
+        let track = self.prev_track;
+        let meta = [
+            time as f64,
+            stats.theta_series.len() as f64,
+            stats.sst_series.len() as f64,
+            stats.ke_series.len() as f64,
+            stats.ice_series.len() as f64,
+            stats.track.len() as f64,
+            if track.is_some() { 1.0 } else { 0.0 },
+            track.map_or(0.0, |(la, _)| la),
+            track.map_or(0.0, |(_, lo)| lo),
+        ];
+        write_aux(dir, "cpl_meta", &meta)
+    }
+
+    fn restore(&mut self, dir: &std::path::Path) -> Result<(), IoError> {
+        crate::restart::read_atm_restart(dir, &mut self.atm)?;
+        for (name, data) in self.aux_fields() {
+            *data = read_aux(dir, name, data.len())?;
+        }
+        Ok(())
+    }
+}
+
+/// The ocean side of one world generation, held by every rank that owns
+/// ocean columns: rank 0 in the sequential layout, ranks 1.. otherwise.
+struct OceanSide {
+    ocn: OcnModel,
+    forcing: OcnForcing,
+    guard: OcnGuard,
+    /// This rank's index among the ocean ranks (its restart slab).
+    slab: usize,
+    /// Baroclinic steps per ocean coupling.
+    steps: usize,
+}
+
+impl OceanSide {
+    /// `first` is the world rank of ocean rank 0; the decomposition is this
+    /// generation's (the configured mesh, or the shrink-to-fit re-fit).
+    fn new(
+        config: &CoupledConfig,
+        grid: &TripolarGrid,
+        decomp: &BlockDecomp2d,
+        period: f64,
+        first: usize,
+        me: usize,
+    ) -> Self {
+        let mut c = fitted_ocn_config(config, period);
+        (c.px, c.py, c.rank_offset) = (decomp.px, decomp.py, first);
+        let ocn = OcnModel::new(grid, c.clone(), me - first);
+        OceanSide {
+            forcing: OcnForcing::zeros(ocn.state.ni, ocn.state.nj),
+            guard: OcnGuard::new(
+                &ocn.state,
+                GuardConfig::default(),
+                c.dt_baroclinic / c.n_barotropic.max(1) as f64,
+            ),
+            slab: me - first,
+            steps: ((period / c.dt_baroclinic).round() as usize).max(1),
+            ocn,
+        }
+    }
+
+    /// Advance one coupling period under the four scattered forcing fields.
+    fn step(&mut self, rank: &Rank, fields: &[Vec<f64>]) -> Result<(), ap3esm_comm::CommError> {
+        self.forcing.taux.copy_from_slice(&fields[0]);
+        self.forcing.tauy.copy_from_slice(&fields[1]);
+        self.forcing.qnet.copy_from_slice(&fields[2]);
+        self.forcing.salt_flux.copy_from_slice(&fields[3]);
+        for _ in 0..self.steps {
+            self.ocn.try_step(rank, &self.forcing)?;
+        }
+        Ok(())
+    }
+
+    /// Surface exports (SST, surface currents) in local row-major interior
+    /// order, which is ascending global ids for a block.
+    fn exports(&self) -> [Vec<f64>; 3] {
+        let st = &self.ocn.state;
+        let mut out: [Vec<f64>; 3] = std::array::from_fn(|_| Vec::with_capacity(st.ni * st.nj));
+        for j in 0..st.nj {
+            for i in 0..st.ni {
+                let idx = st.at(i, j);
+                out[0].push(st.t[0][idx]);
+                out[1].push(st.u[0][idx] + st.ubar[idx]);
+                out[2].push(st.v[0][idx] + st.vbar[idx]);
+            }
+        }
+        out
+    }
+
+    fn check(&self) -> HealthVerdict {
+        self.guard.check(&self.ocn.state)
+    }
+
+    fn write_checkpoint(&self, dir: &std::path::Path) -> Result<(), IoError> {
+        crate::restart::write_ocn_restart(dir, &self.ocn.state, self.slab)
+    }
+
+    fn restore(&mut self, dir: &std::path::Path) -> Result<(), IoError> {
+        crate::restart::read_ocn_restart(dir, &mut self.ocn.state, self.slab)
+    }
+}
+
+/// Restore every side this rank holds from `dir`, then vote: `Ok(true)`
+/// only if every rank loaded cleanly, in which case the checkpoint's
+/// `cpl_meta` is applied — the clock rewinds, the diagnostic series are
+/// truncated to the checkpoint's lengths (replayed couplings re-push
+/// them) and the tracker's continuity point returns. A comm error means
+/// the vote itself could not complete (a peer vanished mid-restore).
+fn restore_agreed(
+    rank: &Rank,
+    dir: &std::path::Path,
+    cpl: &mut Option<CouplerSide>,
+    ocean: &mut Option<OceanSide>,
+    clock: &mut CouplingClock,
+    stats: &mut CoupledStats,
+) -> Result<bool, ap3esm_comm::CommError> {
+    let loaded = (|| {
+        if let Some(c) = cpl.as_mut() {
+            c.restore(dir)?;
+        }
+        if let Some(o) = ocean.as_mut() {
+            o.restore(dir)?;
+        }
+        read_aux(dir, "cpl_meta", 9)
+    })();
+    if let Err(e) = &loaded {
+        eprintln!(
+            "[resilience] rank {}: {} unusable: {e}",
+            rank.id(),
+            dir.display()
+        );
+    }
+    let ok = if loaded.is_ok() { 1.0 } else { 0.0 };
+    let all = collectives::allreduce(rank, CKPT_OK_TAG, vec![ok], |a: &f64, b| a.min(*b))?;
+    let meta = match loaded {
+        Ok(meta) if all[0] >= 1.0 => meta,
+        _ => return Ok(false),
+    };
+    clock.time = meta[0] as i64;
+    stats.theta_series.truncate(meta[1] as usize);
+    stats.sst_series.truncate(meta[2] as usize);
+    stats.ke_series.truncate(meta[3] as usize);
+    stats.ice_series.truncate(meta[4] as usize);
+    stats.track.truncate(meta[5] as usize);
+    if let Some(c) = cpl {
+        c.prev_track = (meta[6] > 0.5).then_some((meta[7], meta[8]));
+    }
+    Ok(true)
+}
+
+/// Keep the first comm error of an ocean coupling as its fault.
+fn note_fault(fault: &mut Option<String>, e: ap3esm_comm::CommError) {
+    fault.get_or_insert_with(|| e.to_string());
 }
 
 /// Run the coupled model; every world rank calls this inside `World::run`.
@@ -886,7 +1357,7 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
             )) as std::sync::Arc<dyn std::any::Any + Send + Sync>
         });
         rank.comm_events().set_enabled(true);
-        fr_record(rank, ap3esm_obs::FrKind::Mark, rank.generation(), 0, "run start");
+        fr_record(rank, FrKind::Mark, rank.generation(), 0, "run start");
     }
     let t_start = std::time::Instant::now();
     let total_seconds = (opts.days * 86_400.0).round();
@@ -963,1003 +1434,383 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
         //     store). The generation-0 block decomposition is the configured
         //     px x py mesh; after a shrink it is re-fitted to the survivors. ---
         let ocn_decomp = generation_ocn_decomp(config, rank);
-        let ocn_map = if config.single_domain {
-            GSMap::all_on_rank(ncols, world_ranks, 0)
-        } else {
-            GSMap::from_block2d(&ocn_decomp, world_ranks, 1)
-        };
+        // World rank of ocean rank 0: the coupler's own rank in the
+        // sequential layout (§5.1.2's "all components are executed
+        // sequentially within a single domain"), the next one otherwise.
+        let ocn_first = if config.single_domain { 0 } else { 1 };
+        let ocn_map = GSMap::from_block2d(&ocn_decomp, world_ranks, ocn_first);
         let root_map = GSMap::all_on_rank(ncols, world_ranks, 0);
         let scatter = Rearranger::new(Router::build(&root_map, &ocn_map), 21);
         let gather = Rearranger::new(Router::build(&ocn_map, &root_map), 22);
-        let my_ocn_cols = ocn_map.local_size(me);
+        let (my_ocn_cols, my_root_cols) = (ocn_map.local_size(me), root_map.local_size(me));
 
-        if is_root {
-            // ================= Domain A: coupler + ATM + ICE + LND ==========
-            let grid = std::sync::Arc::new(GeodesicGrid::new(config.atm_glevel));
-            let dx_km = grid.mean_spacing_km();
-            let mut atm =
-                AtmState::isothermal(std::sync::Arc::clone(&grid), config.atm_nlev, 288.0);
-            // Meridional temperature structure so the circulation is not
-            // degenerate: warm tropics, cold poles.
-            {
-                let n = grid.ncells();
-                for k in 0..config.atm_nlev {
-                    for i in 0..n {
-                        let phi = grid.cells[i].lat();
-                        atm.theta[k * n + i] += 15.0 * (phi.cos().powi(2) - 0.5);
-                    }
-                }
-            }
-            if let Some(spec) = &opts.vortex {
-                seed_vortex(&mut atm, spec);
-            }
-            for spec in &opts.extra_vortices {
-                seed_vortex(&mut atm, spec);
-            }
-            if let Some(p) = &opts.perturb {
-                for (i, th) in atm.theta.iter_mut().enumerate() {
-                    *th += p.noise(i);
-                }
-            }
-            let dycore = Dycore::new(
-                std::sync::Arc::clone(&grid),
-                fitted_atm_config(dx_km, atm_period),
-            );
-            let mut pdc = PhysicsDynamicsCoupler::new(if config.ai_physics {
-                build_ai_driver(config.atm_nlev)
-            } else {
-                PhysicsDriver::Conventional(ConventionalSuite::default())
-            });
+        // This rank's share of the coupled system: the coupler side on
+        // rank 0, an ocean side on every rank holding ocean columns — both
+        // on rank 0 in the sequential layout.
+        let mut cpl = is_root.then(|| CouplerSide::new(config, opts, &ocn_grid, &mask, atm_period));
+        let mut ocean = (me >= ocn_first)
+            .then(|| OceanSide::new(config, &ocn_grid, &ocn_decomp, ocn_period, ocn_first, me));
 
-            // Land on atmosphere cells, same synthetic continents.
-            let (atm_land, _) = mask.land_mask(&grid.cells, 0.29);
-            let mut lnd = LndModel::new(atm_land.clone(), 285.0);
+        // Live-telemetry state (rank 0): wall clock + sim time at the last
+        // heartbeat; cumulative busy seconds + wall clock at the previous
+        // ocean coupling.
+        let mut hb_last: Option<(std::time::Instant, f64)> = None;
+        let mut tele_prev_busy = 0.0f64;
+        let mut tele_last_wall = std::time::Instant::now();
 
-            // Ice on the full ocean grid (domain A owns ice).
-            let ice_decomp = BlockDecomp2d::new(config.ocn_nlon, config.ocn_nlat, 1, 1);
-            let mut ice = IceModel::new(&ocn_grid, &ice_decomp, 0);
-
-            // Remap matrices.
-            let ocn_points: Vec<Vec3> = (0..config.ocn_nlat)
-                .flat_map(|j| {
-                    (0..config.ocn_nlon)
-                        .map(move |i| (i, j))
-                        .collect::<Vec<_>>()
-                })
-                .map(|(i, j)| Vec3::from_lat_lon(ocn_grid.lat[j], ocn_grid.lon[i]))
-                .collect();
-            let atm_to_ocn = RemapMatrix::inverse_distance(&grid.cells, &ocn_points, 3);
-            let ocn_to_atm = RemapMatrix::inverse_distance(&ocn_points, &grid.cells, 3);
-            let ocn_valid: Vec<bool> = (0..ncols).map(|c| ocn_grid.kmt[c] > 0).collect();
-
-            // Sequential layout: the ocean lives on this rank too (§5.1.2's
-            // "all components are executed sequentially within a single
-            // domain").
-            let mut ocn_inline = if config.single_domain {
-                let mut c = fitted_ocn_config(config, ocn_period);
-                c.px = 1;
-                c.py = 1;
-                c.rank_offset = 0;
-                Some((OcnModel::new(&ocn_grid, c.clone(), 0), c))
-            } else {
-                None
-            };
-
-            // Rank-0 global copies of ocean/ice surface state.
-            let mut sst_global: Vec<f64> = (0..ncols)
-                .map(|c| {
-                    let j = c / config.ocn_nlon;
-                    let i = c % config.ocn_nlon;
-                    let phi = ocn_grid.lat[j];
-                    let base = 2.0 + 26.0 * phi.cos().powi(2);
-                    match &opts.sst_pattern {
-                        Some(p) => base + p.anomaly(phi, ocn_grid.lon[i]),
-                        None => base,
-                    }
-                })
-                .collect();
-            let mut ssu_global = vec![0.0; ncols];
-            let mut ssv_global = vec![0.0; ncols];
-            let mut ice_frac_global = ice.state.fraction.clone();
-            let mut ice_heat_global = vec![0.0; ncols];
-            let mut ice_fresh_global = vec![0.0; ncols];
-            let mut last_precip_accum = vec![0.0; grid.ncells()];
-            let mut prev_track: Option<(f64, f64)> = None;
-
-            let bulk = BulkCoefficients::default();
-
-            // Live-telemetry state: wall clock + sim time at the last heartbeat.
-            let mut hb_last: Option<(std::time::Instant, f64)> = None;
-            // Continuous-telemetry state: cumulative busy seconds + wall clock
-            // at the previous ocean coupling.
-            let mut tele_prev_busy = 0.0f64;
-            let mut tele_last_wall = std::time::Instant::now();
-
-            let atm_guard = AtmGuard::new(&atm, GuardConfig::default(), dycore.config.dt_dyn);
-            let inline_guard = ocn_inline.as_ref().map(|(ocn, c)| {
-                OcnGuard::new(
-                    &ocn.state,
-                    GuardConfig::default(),
-                    c.dt_baroclinic / c.n_barotropic.max(1) as f64,
-                )
-            });
-
-            // Restore the full domain-A state from a checkpoint directory.
-            // A macro (not a closure) because it borrows half the locals above
-            // mutably; shared between rollbacks and generation-entry resumes.
-            // Evaluates to `Result<Vec<f64>, IoError>` carrying `cpl_meta`.
-            macro_rules! restore_domain_a {
-                ($dir:expr) => {{
-                    let dir: &std::path::Path = $dir;
-                    (|| -> Result<Vec<f64>, IoError> {
-                        crate::restart::read_atm_restart(dir, &mut atm)?;
-                        lnd.state.tskin = read_aux(dir, "lnd_tskin", lnd.state.tskin.len())?;
-                        lnd.state.moisture = read_aux(dir, "lnd_moist", lnd.state.moisture.len())?;
-                        ice.state.fraction = read_aux(dir, "ice_frac", ice.state.fraction.len())?;
-                        ice.state.thickness =
-                            read_aux(dir, "ice_thick", ice.state.thickness.len())?;
-                        ice.state.tsfc = read_aux(dir, "ice_tsfc", ice.state.tsfc.len())?;
-                        sst_global = read_aux(dir, "cpl_sst", ncols)?;
-                        ssu_global = read_aux(dir, "cpl_ssu", ncols)?;
-                        ssv_global = read_aux(dir, "cpl_ssv", ncols)?;
-                        ice_frac_global = read_aux(dir, "cpl_icefrac", ncols)?;
-                        ice_heat_global = read_aux(dir, "cpl_iceheat", ncols)?;
-                        ice_fresh_global = read_aux(dir, "cpl_icefresh", ncols)?;
-                        last_precip_accum = read_aux(dir, "cpl_precip", last_precip_accum.len())?;
-                        if let Some((ocn, _)) = ocn_inline.as_mut() {
-                            crate::restart::read_ocn_restart(dir, &mut ocn.state, 0)?;
-                        }
-                        read_aux(dir, "cpl_meta", 9)
-                    })()
-                }};
-            }
-            // Apply a restored `cpl_meta`: rewind the clock and truncate the
-            // diagnostic series to the checkpoint's lengths (replayed couplings
-            // re-push them), restoring the tracker's continuity point.
-            macro_rules! apply_domain_a_meta {
-                ($meta:expr) => {{
-                    let meta = $meta;
-                    clock.time = meta[0] as i64;
-                    stats.theta_series.truncate(meta[1] as usize);
-                    stats.sst_series.truncate(meta[2] as usize);
-                    stats.ke_series.truncate(meta[3] as usize);
-                    stats.ice_series.truncate(meta[4] as usize);
-                    stats.track.truncate(meta[5] as usize);
-                    prev_track = (meta[6] > 0.5).then_some((meta[7], meta[8]));
-                }};
-            }
-
-            // Generation entry: resume from a hand-off directory (a shrink's
-            // redistributed checkpoint, or an explicit `resume_from`). The vote
-            // keeps every rank's verdict identical — a failed resume is a
-            // structured failure on all of them, never a divergent world.
-            if let Some(dir) = pending_restore.take() {
-                let loaded = restore_domain_a!(&dir);
-                if let Err(e) = &loaded {
-                    eprintln!("[resilience] resume from {} failed: {e}", dir.display());
-                }
-                match try_vote_all_ok(rank, loaded.is_ok()) {
-                    Ok(true) => {
-                        apply_domain_a_meta!(loaded.expect("vote passed"));
-                        ap3esm_obs::instant("recovery.resumed");
-                        eprintln!(
-                            "[resilience] generation {}: resumed from {} at t = {} s",
-                            rank.generation(),
-                            dir.display(),
-                            clock.time
-                        );
-                    }
-                    _ => {
-                        stats.failure = Some(format!(
-                            "resume from {} failed on at least one rank",
-                            dir.display()
-                        ));
-                    }
-                }
-            }
-
-            'sim: while stats.failure.is_none() && (clock.time as f64) < total_seconds {
-                let event = clock.advance();
-                let day_of_year = 202.0 + clock.days(); // late July (Doksuri)
-                let seconds_utc = (clock.time % 86_400) as f64;
-
-                if event.atm {
-                    timers.start("atm_run");
-                    // Surface forcing seen by the atmosphere physics.
-                    let n = grid.ncells();
-                    let sst_on_atm = ocn_to_atm.apply_masked(&sst_global, &ocn_valid, 15.0);
-                    let ice_on_atm = ocn_to_atm.apply(&ice_frac_global);
-                    let wet = lnd.wetness();
-                    let mut forcing = SurfaceForcing::uniform(n, 288.0, 0.0, 1.0);
-                    for i in 0..n {
-                        let phi = grid.cells[i].lat();
-                        let lam = grid.cells[i].lon();
-                        forcing.coszr[i] =
-                            crate::solar::cos_zenith(phi, lam, day_of_year, seconds_utc);
-                        if atm_land[i] {
-                            forcing.tskin[i] = lnd.state.tskin[i];
-                            forcing.wetness[i] = wet[i];
-                        } else {
-                            forcing.tskin[i] =
-                                blended_surface_temperature(sst_on_atm[i], -5.0, ice_on_atm[i]);
-                            forcing.wetness[i] = 1.0;
-                        }
-                    }
-                    // Advance the atmosphere one coupling period: model steps
-                    // with physics applied at each model step.
-                    let steps = (atm_period / dycore.config.dt_model).round() as usize;
-                    for _ in 0..steps.max(1) {
-                        dycore.step_model_dynamics(&mut atm);
-                        pdc.apply(&mut atm, &forcing, dycore.config.dt_model);
-                    }
-                    stats.theta_series.push(atm.mean_theta());
-                    if opts.record_track && opts.vortex.is_some() {
-                        let p = track_vortex(&atm, prev_track, 1_500_000.0);
-                        prev_track = Some((p.lat_deg, p.lon_deg));
-                        stats.track.push(p);
-                    }
-                    timers.stop("atm_run");
-
-                    // Land step from the atmosphere's surface fields, timed
-                    // as its own top-level section so the critical-path
-                    // analyzer and the per-section trajectory see the land
-                    // model's share separately from the dycore's.
-                    timers.start("lnd_run");
-                    let winds = atm.surface_wind();
-                    let precip_rate: Vec<f64> = atm
-                        .precip_accum
-                        .iter()
-                        .zip(&last_precip_accum)
-                        .map(|(now, before)| (now - before).max(0.0) / atm_period)
-                        .collect();
-                    last_precip_accum.copy_from_slice(&atm.precip_accum);
-                    let tair: Vec<f64> = (0..n)
-                        .map(|i| temperature_from_theta(atm.theta[i], atm.sigma[0] * atm.ps[i]))
-                        .collect();
-                    let lnd_forcing = LndForcing {
-                        gsw: atm.gsw.clone(),
-                        glw: atm.glw.clone(),
-                        tair: tair.clone(),
-                        precip: precip_rate.clone(),
-                        wind: winds.iter().map(|&(u, v)| (u * u + v * v).sqrt()).collect(),
-                    };
-                    lnd.step(&lnd_forcing, atm_period);
-                    timers.stop("lnd_run");
-                }
-
-                if event.ice {
-                    timers.start("ice_run");
-                    // Ice forcing from atm fields remapped to the ocean grid.
-                    let n = grid.ncells();
-                    let winds = atm.surface_wind();
-                    let tair_c: Vec<f64> = (0..n)
-                        .map(|i| {
-                            temperature_from_theta(atm.theta[i], atm.sigma[0] * atm.ps[i]) - 273.15
-                        })
-                        .collect();
-                    let u_atm: Vec<f64> = winds.iter().map(|&(u, _)| u).collect();
-                    let v_atm: Vec<f64> = winds.iter().map(|&(_, v)| v).collect();
-                    let ice_forcing = IceForcing {
-                        tair: atm_to_ocn.apply(&tair_c),
-                        sst: sst_global.clone(),
-                        flux_down: vec![0.0; ncols],
-                        uwind: atm_to_ocn.apply(&u_atm),
-                        vwind: atm_to_ocn.apply(&v_atm),
-                        uocn: ssu_global.clone(),
-                        vocn: ssv_global.clone(),
-                    };
-                    let export = ice.step(&ice_forcing, ice_period);
-                    ice_frac_global = export.fraction;
-                    ice_heat_global = export.heat;
-                    ice_fresh_global = export.fresh;
-                    stats.ice_series.push(ice.ice_cover());
-                    timers.stop("ice_run");
-                }
-
-                if event.ocn {
-                    timers.start("cpl_rearrange");
-                    // Atmosphere-side fluxes on atm cells, then onto the ocean
-                    // grid, merged with ice, then scattered to domain O.
-                    let n = grid.ncells();
-                    let winds = atm.surface_wind();
-                    let sst_on_atm = ocn_to_atm.apply_masked(&sst_global, &ocn_valid, 15.0);
-                    let mut taux = vec![0.0; n];
-                    let mut tauy = vec![0.0; n];
-                    let mut qnet = vec![0.0; n];
-                    let mut emp = vec![0.0; n]; // evaporation − precipitation (m/s)
-                    for i in 0..n {
-                        let (u, v) = winds[i];
-                        let ta = temperature_from_theta(atm.theta[i], atm.sigma[0] * atm.ps[i]);
-                        let qa = atm.q[i];
-                        let ts_k = sst_on_atm[i] + 273.15;
-                        let fx = bulk_fluxes(&bulk, u, v, ta, qa, atm.ps[i], ts_k, 1.0);
-                        taux[i] = fx.taux;
-                        tauy[i] = fx.tauy;
-                        const OCN_ALBEDO: f64 = 0.07;
-                        const EMISSIVITY: f64 = 0.97;
-                        qnet[i] = atm.gsw[i] * (1.0 - OCN_ALBEDO)
-                            + EMISSIVITY * (atm.glw[i] - STEFAN_BOLTZMANN * ts_k.powi(4))
-                            - fx.sensible
-                            - fx.latent;
-                        emp[i] = fx.evaporation / 1000.0; // kg/m²/s → m/s
-                    }
-                    let taux_o = atm_to_ocn.apply(&taux);
-                    let tauy_o = atm_to_ocn.apply(&tauy);
-                    let qnet_o = atm_to_ocn.apply(&qnet);
-                    let emp_o = atm_to_ocn.apply(&emp);
-                    let mut f_taux = vec![0.0; ncols];
-                    let mut f_tauy = vec![0.0; ncols];
-                    let mut f_qnet = vec![0.0; ncols];
-                    let mut f_salt = vec![0.0; ncols];
-                    for c in 0..ncols {
-                        let merged = merge_ocean_forcing(
-                            taux_o[c],
-                            tauy_o[c],
-                            qnet_o[c],
-                            emp_o[c],
-                            ice_frac_global[c],
-                            ice_heat_global[c],
-                            ice_fresh_global[c],
-                        );
-                        f_taux[c] = merged.taux;
-                        f_tauy[c] = merged.tauy;
-                        f_qnet[c] = merged.qnet;
-                        f_salt[c] = merged.salt_flux;
-                    }
-                    // Under the recovery layer a failed exchange is a fault
-                    // verdict (rollback), not a panic; without it the original
-                    // panic-on-error behaviour is preserved below.
-                    let mut comm_fault: Option<String> = None;
-                    if let Some((ocn, ocn_config)) = ocn_inline.as_mut() {
-                        // Sequential layout: the rearrangement is a self-route
-                        // (still through the Router), then the ocean runs
-                        // inline on this rank.
-                        let mut fields = Vec::new();
-                        for field in [&f_taux, &f_tauy, &f_qnet, &f_salt] {
-                            match scatter.try_rearrange(rank, config.strategy, field, ncols) {
-                                Ok(v) => fields.push(v),
-                                Err(e) => {
-                                    comm_fault.get_or_insert_with(|| e.to_string());
-                                    fields.push(vec![0.0; ncols]);
-                                }
-                            }
-                        }
-                        timers.stop("cpl_rearrange");
-                        timers.start("ocn_run");
-                        let (ni, nj) = (ocn.state.ni, ocn.state.nj);
-                        let mut forcing = ap3esm_ocn::model::OcnForcing::zeros(ni, nj);
-                        forcing.taux.copy_from_slice(&fields[0]);
-                        forcing.tauy.copy_from_slice(&fields[1]);
-                        forcing.qnet.copy_from_slice(&fields[2]);
-                        forcing.salt_flux.copy_from_slice(&fields[3]);
-                        let steps = (ocn_period / ocn_config.dt_baroclinic).round() as usize;
-                        for _ in 0..steps.max(1) {
-                            if let Err(e) = ocn.try_step(rank, &forcing) {
-                                comm_fault.get_or_insert_with(|| e.to_string());
-                                break;
-                            }
-                        }
-                        let st = &ocn.state;
-                        let mut sst = Vec::with_capacity(ncols);
-                        let mut ssu = Vec::with_capacity(ncols);
-                        let mut ssv = Vec::with_capacity(ncols);
-                        for j in 0..nj {
-                            for i in 0..ni {
-                                let idx = st.at(i, j);
-                                sst.push(st.t[0][idx]);
-                                ssu.push(st.u[0][idx] + st.ubar[idx]);
-                                ssv.push(st.v[0][idx] + st.vbar[idx]);
-                            }
-                        }
-                        for (dst, src) in [
-                            (&mut sst_global, &sst),
-                            (&mut ssu_global, &ssu),
-                            (&mut ssv_global, &ssv),
-                        ] {
-                            match gather.try_rearrange(rank, config.strategy, src, ncols) {
-                                Ok(v) => *dst = v,
-                                Err(e) => {
-                                    comm_fault.get_or_insert_with(|| e.to_string());
-                                }
-                            }
-                        }
-                        timers.stop("ocn_run");
-                    } else {
-                        for field in [&f_taux, &f_tauy, &f_qnet, &f_salt] {
-                            if let Err(e) = scatter.try_rearrange(rank, config.strategy, field, 0) {
-                                comm_fault.get_or_insert_with(|| e.to_string());
-                            }
-                        }
-                        // Gather the ocean's exports (keeping the previous
-                        // surface state on a failed leg — rollback follows).
-                        for dst in [&mut sst_global, &mut ssu_global, &mut ssv_global] {
-                            match gather.try_rearrange(rank, config.strategy, &[], ncols) {
-                                Ok(v) => *dst = v,
-                                Err(e) => {
-                                    comm_fault.get_or_insert_with(|| e.to_string());
-                                }
-                            }
-                        }
-                        timers.stop("cpl_rearrange");
-                    }
-                    // Diagnostics series.
-                    let (mut sum, mut cnt) = (0.0f64, 0.0f64);
-                    for c in 0..ncols {
-                        if ocn_valid[c] {
-                            sum += sst_global[c];
-                            cnt += 1.0;
-                        }
-                    }
-                    stats.sst_series.push(sum / cnt.max(1.0));
-                    let local_ke = ocn_inline
-                        .as_ref()
-                        .map(|(m, _)| m.state.kinetic_energy())
-                        .unwrap_or(0.0);
-                    let ke = match ap3esm_comm::collectives::allreduce_sum(rank, 77, local_ke) {
-                        Ok(ke) => ke,
-                        Err(e) => {
-                            comm_fault.get_or_insert_with(|| e.to_string());
-                            f64::NAN
-                        }
-                    };
-                    stats.ke_series.push(ke);
-                    if resil.is_none() {
-                        if let Some(e) = &comm_fault {
-                            panic!("coupler exchange failed: {e}");
-                        }
-                    }
-
-                    // ----- Recovery layer: guards, health agreement, then
-                    //       checkpoint or rollback (ocean couplings are the
-                    //       global synchronisation points). -----
-                    if let Some(resil) = resil.as_mut() {
-                        let ocn_idx = ((clock.time as f64) / ocn_period).round() as u64;
-                        if let Some(inj) = rank.fault_injector() {
-                            // Fault plans name physical (machine) ranks.
-                            if inj.take_kill(rank.world_id(), ocn_idx) {
-                                // Simulated rank loss: the surviving state is
-                                // garbage, which the guards detect.
-                                for v in atm.theta.iter_mut() {
-                                    *v = f64::NAN;
-                                }
-                                ap3esm_obs::counter_add("resilience.faults", 1);
-                                ap3esm_obs::instant("fault.kill");
-                                fr_record(
-                                    rank,
-                                    ap3esm_obs::FrKind::Fault,
-                                    ocn_idx,
-                                    0,
-                                    "killed (state corrupted, injected)",
-                                );
-                            }
-                        }
-                        let mut verdict = atm_guard.check(&atm);
-                        if let (Some((ocn, _)), Some(guard)) = (&ocn_inline, &inline_guard) {
-                            verdict = verdict.worst(guard.check(&ocn.state));
-                        }
-                        if let Some(e) = comm_fault.take() {
-                            stats
-                                .fault_events
-                                .push(format!("comm fault at ocn coupling {ocn_idx}: {e}"));
-                            verdict = verdict.worst(HealthVerdict::Fatal(format!("comm: {e}")));
-                        }
-                        let verdict = observe_verdict(verdict, me);
-                        let sev = match agree_severity(rank, verdict.severity()) {
-                            Ok(sev) => sev,
-                            // The health agreement itself lost a peer: escalate
-                            // to a membership vote (DESIGN.md §13 rung 3).
-                            Err(e) => match agree_survivors(
-                                rank,
-                                &e,
-                                &mut stats,
-                                &mut shrinks,
-                                resil.cfg.max_shrinks,
-                            ) {
-                                // Everyone is alive after all (dropped or very
-                                // late messages): treat as a fatal transient
-                                // and roll back.
-                                SurvivorOutcome::Transient => 2.0,
-                                SurvivorOutcome::Shrunk => {
-                                    // Shrink-to-fit hand-off: redistribute the
-                                    // last committed checkpoint onto the
-                                    // survivor layout, announce it, and rebuild
-                                    // the world one generation up.
-                                    let gen = rank.generation();
-                                    let dst = resil.store.root().join(format!("shrunk_g{gen}"));
-                                    let cand = resil.store.latest().map(|i| i as i64).unwrap_or(-1);
-                                    let ready = cand >= 0 && {
-                                        let _ = std::fs::remove_dir_all(&dst);
-                                        crate::restart::redistribute_ocn_restart(
-                                            &resil.store.dir(cand as u64),
-                                            &dst,
-                                            &ocn_grid,
-                                            &ocn_decomp,
-                                            &BlockDecomp2d::auto(
-                                                config.ocn_nlon,
-                                                config.ocn_nlat,
-                                                rank.size() - 1,
-                                            ),
-                                        )
-                                        .map_err(|e| {
-                                            eprintln!(
-                                            "[resilience] checkpoint redistribution failed: {e}"
-                                        )
-                                        })
-                                        .is_ok()
-                                    };
-                                    let sig = if ready { cand } else { -1i64 };
-                                    match ap3esm_comm::collectives::bcast(
-                                        rank,
-                                        CKPT_ID_TAG,
-                                        0,
-                                        vec![sig],
-                                    ) {
-                                        Ok(v) if v[0] >= 0 => {
-                                            stats.degraded_ranks = rank.world_size() - rank.size();
-                                            ap3esm_obs::instant("recovery.shrink");
-                                            ap3esm_obs::counter_add("resilience.shrinks", 1);
-                                            ap3esm_obs::gauge_set(
-                                                "sim.degraded_ranks",
-                                                stats.degraded_ranks as f64,
-                                            );
-                                            eprintln!(
-                                            "[resilience] shrink-to-fit: continuing degraded on {} of {} ranks from checkpoint {cand}",
-                                            rank.size(),
-                                            rank.world_size()
-                                        );
-                                            pending_restore = Some(dst);
-                                            continue 'world;
-                                        }
-                                        _ => {
-                                            stats.failure = Some(
-                                                "no committed checkpoint to continue degraded from"
-                                                    .to_string(),
-                                            );
-                                            break 'sim;
-                                        }
-                                    }
-                                }
-                                SurvivorOutcome::Failed(msg) => {
-                                    stats.failure = Some(msg);
-                                    break 'sim;
-                                }
-                            },
-                        };
-                        if sev >= 2.0 {
-                            let reason =
-                                format!("fatal state at ocn coupling {ocn_idx}: {verdict}");
-                            if let Some(fail) = begin_rollback(rank, resil, &reason) {
-                                stats.failure = Some(fail.to_string());
-                                break 'sim;
-                            }
-                            loop {
-                                let cand = agree_candidate(
-                                    rank,
-                                    resil.store.latest().map(|i| i as i64).unwrap_or(-1),
-                                );
-                                if cand < 0 {
-                                    stats.failure = Some(
-                                        RecoveryFailure {
-                                            recoveries_attempted: resil.recoveries,
-                                            reason: "no committed checkpoint to roll back to"
-                                                .into(),
-                                        }
-                                        .to_string(),
-                                    );
-                                    break 'sim;
-                                }
-                                let dir = resil.store.dir(cand as u64);
-                                let loaded = restore_domain_a!(&dir);
-                                if vote_all_ok(rank, loaded.is_ok()) {
-                                    apply_domain_a_meta!(loaded.expect("vote passed"));
-                                    ap3esm_obs::instant("rollback.restored");
-                                    eprintln!(
-                                    "[resilience] restored checkpoint {cand}, replaying from t = {} s",
-                                    clock.time
-                                );
-                                    break;
-                                }
-                                if let Err(e) = &loaded {
-                                    eprintln!("[resilience] checkpoint {cand} unusable: {e}");
-                                }
-                                stats
-                                    .fault_events
-                                    .push(format!("checkpoint {cand} rejected at restore"));
-                                resil
-                                    .store
-                                    .invalidate(cand as u64)
-                                    .expect("invalidate damaged checkpoint");
-                                rank.barrier();
-                            }
-                        } else if resil.cfg.checkpoint_interval > 0
-                            && ocn_idx.is_multiple_of(resil.cfg.checkpoint_interval as u64)
-                        {
-                            let id = ocn_idx;
-                            ap3esm_obs::instant("checkpoint.begin");
-                            fr_record(rank, ap3esm_obs::FrKind::CkptBegin, id, 0, "");
-                            with_retry(
-                                "checkpoint begin",
-                                resil.cfg.retries,
-                                resil.cfg.backoff,
-                                || resil.store.begin(id),
-                            )
-                            .expect("checkpoint begin");
-                            rank.barrier();
-                            let dir = resil.store.dir(id);
-                            with_retry(
-                                "checkpoint write",
-                                resil.cfg.retries,
-                                resil.cfg.backoff,
-                                || -> Result<(), IoError> {
-                                    crate::restart::write_atm_restart(&dir, &atm)?;
-                                    write_aux(&dir, "lnd_tskin", &lnd.state.tskin)?;
-                                    write_aux(&dir, "lnd_moist", &lnd.state.moisture)?;
-                                    write_aux(&dir, "ice_frac", &ice.state.fraction)?;
-                                    write_aux(&dir, "ice_thick", &ice.state.thickness)?;
-                                    write_aux(&dir, "ice_tsfc", &ice.state.tsfc)?;
-                                    write_aux(&dir, "cpl_sst", &sst_global)?;
-                                    write_aux(&dir, "cpl_ssu", &ssu_global)?;
-                                    write_aux(&dir, "cpl_ssv", &ssv_global)?;
-                                    write_aux(&dir, "cpl_icefrac", &ice_frac_global)?;
-                                    write_aux(&dir, "cpl_iceheat", &ice_heat_global)?;
-                                    write_aux(&dir, "cpl_icefresh", &ice_fresh_global)?;
-                                    write_aux(&dir, "cpl_precip", &last_precip_accum)?;
-                                    if let Some((ocn, _)) = ocn_inline.as_ref() {
-                                        crate::restart::write_ocn_restart(&dir, &ocn.state, 0)?;
-                                    }
-                                    let meta = [
-                                        clock.time as f64,
-                                        stats.theta_series.len() as f64,
-                                        stats.sst_series.len() as f64,
-                                        stats.ke_series.len() as f64,
-                                        stats.ice_series.len() as f64,
-                                        stats.track.len() as f64,
-                                        if prev_track.is_some() { 1.0 } else { 0.0 },
-                                        prev_track.map(|(la, _)| la).unwrap_or(0.0),
-                                        prev_track.map(|(_, lo)| lo).unwrap_or(0.0),
-                                    ];
-                                    write_aux(&dir, "cpl_meta", &meta)
-                                },
-                            )
-                            .expect("checkpoint write");
-                            rank.barrier();
-                            commit_checkpoint(rank, resil, id);
-                        }
-                    }
-
-                    // ----- Live telemetry heartbeat (opt-in, rank 0 only):
-                    //       step rate, SYPD estimate and component split since
-                    //       the previous heartbeat. -----
-                    if let Some(every) = opts.progress_every {
-                        let ocn_count = stats.ke_series.len() as u64;
-                        if every > 0 && ocn_count.is_multiple_of(every) {
-                            let now = std::time::Instant::now();
-                            let sim_s = clock.time as f64;
-                            let (dw, ds) = match hb_last {
-                                Some((w, s)) => (now.duration_since(w).as_secs_f64(), sim_s - s),
-                                None => (t_start.elapsed().as_secs_f64(), sim_s),
-                            };
-                            let dw = dw.max(1e-9);
-                            let split: Vec<String> =
-                                ["atm_run", "lnd_run", "ocn_run", "ice_run", "cpl_rearrange"]
-                                    .iter()
-                                    .filter(|s| timers.count(s) > 0)
-                                    .map(|s| format!("{s} {:.2}s", timers.seconds(s)))
-                                    .collect();
-                            eprintln!(
-                            "[telemetry] day {:.2}/{:.1} | {:.2} couplings/s | est. SYPD {:.2} | {}",
-                            clock.days(),
-                            opts.days,
-                            (ds / ocn_period) / dw,
-                            get_timing(ds, dw),
-                            split.join(", ")
-                        );
-                            hb_last = Some((now, sim_s));
-                        }
-                    }
-
-                    // ----- Continuous telemetry: global busy-time exchange at
-                    //       the coupling sync point, then rank-0 gauges the
-                    //       sampler thread turns into series. -----
-                    if telemetry_on {
-                        let busy: f64 = timers.sections().iter().map(|s| timers.seconds(s)).sum();
-                        let d_busy = (busy - tele_prev_busy).max(0.0);
-                        tele_prev_busy = busy;
-                        let max_busy =
-                            ap3esm_comm::collectives::allreduce_max(rank, TELE_MAX_TAG, d_busy)
-                                .unwrap_or(d_busy);
-                        let sum_busy =
-                            ap3esm_comm::collectives::allreduce_sum(rank, TELE_SUM_TAG, d_busy)
-                                .unwrap_or(d_busy);
-                        let now = std::time::Instant::now();
-                        let dw = now.duration_since(tele_last_wall).as_secs_f64().max(1e-9);
-                        tele_last_wall = now;
-                        ap3esm_obs::gauge_set("sim.step_wall_s", dw);
-                        ap3esm_obs::gauge_set("sim.sypd", get_timing(ocn_period, dw));
-                        let mean_busy = sum_busy / world_ranks as f64;
-                        if mean_busy > 0.0 {
-                            ap3esm_obs::gauge_set("sim.imbalance", max_busy / mean_busy);
-                        }
-                    }
-                }
-            }
-            stats.simulated_seconds = clock.time as f64;
-            if let Some(r) = &resil {
-                stats.recoveries = r.recoveries;
-            }
-        } else {
-            // ================= Domain O: the ocean ==========================
-            let mut ocn_config = fitted_ocn_config(config, ocn_period);
-            // This generation's decomposition (the configured mesh, or the
-            // shrink-to-fit re-fit over the survivors).
-            ocn_config.px = ocn_decomp.px;
-            ocn_config.py = ocn_decomp.py;
-            ocn_config.rank_offset = 1; // world rank = 1 + ocean rank
-            let mut ocn = OcnModel::new(&ocn_grid, ocn_config.clone(), me - 1);
-            let (ni, nj) = (ocn.state.ni, ocn.state.nj);
-            let mut forcing = OcnForcing::zeros(ni, nj);
-
-            let ocn_guard = OcnGuard::new(
-                &ocn.state,
-                GuardConfig::default(),
-                ocn_config.dt_baroclinic / ocn_config.n_barotropic.max(1) as f64,
-            );
-            let mut tele_prev_busy = 0.0f64;
-
-            // Generation entry: resume this rank's slab from a hand-off
-            // directory (mirrors domain A; the vote keeps everyone agreed).
-            if let Some(dir) = pending_restore.take() {
-                let loaded: Result<Vec<f64>, IoError> = (|| {
-                    crate::restart::read_ocn_restart(&dir, &mut ocn.state, me - 1)?;
-                    read_aux(&dir, "cpl_meta", 9)
-                })();
-                if let Err(e) = &loaded {
+        // Generation entry: resume from a hand-off directory (a shrink's
+        // redistributed checkpoint, or an explicit `resume_from`). The vote
+        // keeps every rank's verdict identical — a failed resume is a
+        // structured failure on all of them, never a divergent world.
+        if let Some(dir) = pending_restore.take() {
+            match restore_agreed(rank, &dir, &mut cpl, &mut ocean, &mut clock, &mut stats) {
+                Ok(true) if is_root => {
+                    ap3esm_obs::instant("recovery.resumed");
                     eprintln!(
-                        "[resilience] rank {me}: resume from {} failed: {e}",
-                        dir.display()
+                        "[resilience] generation {}: resumed from {} at t = {} s",
+                        rank.generation(),
+                        dir.display(),
+                        clock.time
                     );
                 }
-                match try_vote_all_ok(rank, loaded.is_ok()) {
-                    Ok(true) => {
-                        clock.time = loaded.expect("vote passed")[0] as i64;
-                    }
-                    _ => {
-                        stats.failure = Some(format!(
-                            "resume from {} failed on at least one rank",
-                            dir.display()
-                        ));
-                    }
+                Ok(true) => {}
+                _ => {
+                    stats.failure = Some(format!(
+                        "resume from {} failed on at least one rank",
+                        dir.display()
+                    ));
                 }
-            }
-
-            'sim: while stats.failure.is_none() && (clock.time as f64) < total_seconds {
-                let event = clock.advance();
-                if event.ocn {
-                    timers.start("ocn_run");
-                    let mut comm_fault: Option<String> = None;
-                    // Receive merged forcing fields from domain A (keeping the
-                    // previous period's forcing on a failed leg).
-                    let mut fields = Vec::new();
-                    for _ in 0..4 {
-                        match scatter.try_rearrange(rank, config.strategy, &[], my_ocn_cols) {
-                            Ok(v) => fields.push(v),
-                            Err(e) => {
-                                comm_fault.get_or_insert_with(|| e.to_string());
-                                fields.push(vec![0.0; my_ocn_cols]);
-                            }
-                        }
-                    }
-                    forcing.taux.copy_from_slice(&fields[0]);
-                    forcing.tauy.copy_from_slice(&fields[1]);
-                    forcing.qnet.copy_from_slice(&fields[2]);
-                    // salt_flux (psu·m/s): convert from the merged convention.
-                    forcing.salt_flux.copy_from_slice(&fields[3]);
-                    // Advance the ocean through the coupling period.
-                    let steps = (ocn_period / ocn_config.dt_baroclinic).round() as usize;
-                    for _ in 0..steps.max(1) {
-                        if let Err(e) = ocn.try_step(rank, &forcing) {
-                            comm_fault.get_or_insert_with(|| e.to_string());
-                            break;
-                        }
-                    }
-                    // Export surface state back to domain A (local row-major
-                    // interior order == ascending global ids for a block).
-                    let st = &ocn.state;
-                    let mut sst = Vec::with_capacity(my_ocn_cols);
-                    let mut ssu = Vec::with_capacity(my_ocn_cols);
-                    let mut ssv = Vec::with_capacity(my_ocn_cols);
-                    for j in 0..nj {
-                        for i in 0..ni {
-                            let idx = st.at(i, j);
-                            sst.push(st.t[0][idx]);
-                            ssu.push(st.u[0][idx] + st.ubar[idx]);
-                            ssv.push(st.v[0][idx] + st.vbar[idx]);
-                        }
-                    }
-                    for data in [&sst, &ssu, &ssv] {
-                        if let Err(e) = gather.try_rearrange(rank, config.strategy, data, 0) {
-                            comm_fault.get_or_insert_with(|| e.to_string());
-                        }
-                    }
-                    timers.stop("ocn_run");
-                    if let Err(e) = ap3esm_comm::collectives::allreduce_sum(
-                        rank,
-                        77,
-                        ocn.state.kinetic_energy(),
-                    ) {
-                        comm_fault.get_or_insert_with(|| e.to_string());
-                    }
-                    if resil.is_none() {
-                        if let Some(e) = &comm_fault {
-                            panic!("coupler exchange failed: {e}");
-                        }
-                    }
-
-                    // ----- Recovery layer (mirrors the domain-A sequence). ----
-                    if let Some(resil) = resil.as_mut() {
-                        let ocn_idx = ((clock.time as f64) / ocn_period).round() as u64;
-                        if let Some(inj) = rank.fault_injector() {
-                            // Fault plans name physical (machine) ranks.
-                            if inj.take_die(rank.world_id(), ocn_idx) {
-                                // Permanent loss: this thread stops participating
-                                // entirely — no farewell message, exactly like a
-                                // node dropping off the interconnect. The
-                                // survivors detect the silence at the health
-                                // agreement and shrink around it.
-                                stats.lost = true;
-                                stats.fault_events.push(format!(
-                                    "rank {} died permanently at ocn coupling {ocn_idx}",
-                                    rank.world_id()
-                                ));
-                                ap3esm_obs::counter_add("resilience.faults", 1);
-                                ap3esm_obs::instant("fault.die");
-                                fr_record(
-                                    rank,
-                                    ap3esm_obs::FrKind::Fault,
-                                    ocn_idx,
-                                    0,
-                                    "died permanently (injected)",
-                                );
-                                eprintln!(
-                                "[resilience] rank {} dying permanently at ocn coupling {ocn_idx}",
-                                rank.world_id()
-                            );
-                                break 'sim;
-                            }
-                            if inj.take_kill(rank.world_id(), ocn_idx) {
-                                for v in ocn.state.eta.iter_mut() {
-                                    *v = f64::NAN;
-                                }
-                                ap3esm_obs::counter_add("resilience.faults", 1);
-                                ap3esm_obs::instant("fault.kill");
-                                fr_record(
-                                    rank,
-                                    ap3esm_obs::FrKind::Fault,
-                                    ocn_idx,
-                                    0,
-                                    "killed (state corrupted, injected)",
-                                );
-                            }
-                        }
-                        let mut verdict = ocn_guard.check(&ocn.state);
-                        if let Some(e) = comm_fault.take() {
-                            stats
-                                .fault_events
-                                .push(format!("comm fault at ocn coupling {ocn_idx}: {e}"));
-                            verdict = verdict.worst(HealthVerdict::Fatal(format!("comm: {e}")));
-                        }
-                        let verdict = observe_verdict(verdict, me);
-                        let sev = match agree_severity(rank, verdict.severity()) {
-                            Ok(sev) => sev,
-                            Err(e) => match agree_survivors(
-                                rank,
-                                &e,
-                                &mut stats,
-                                &mut shrinks,
-                                resil.cfg.max_shrinks,
-                            ) {
-                                SurvivorOutcome::Transient => 2.0,
-                                SurvivorOutcome::Shrunk => {
-                                    // Wait for rank 0's hand-off announcement:
-                                    // the checkpoint id it redistributed onto
-                                    // the survivor layout (-1 = nothing left).
-                                    let gen = rank.generation();
-                                    match ap3esm_comm::collectives::bcast(
-                                        rank,
-                                        CKPT_ID_TAG,
-                                        0,
-                                        vec![-1i64],
-                                    ) {
-                                        Ok(v) if v[0] >= 0 => {
-                                            stats.degraded_ranks = rank.world_size() - rank.size();
-                                            pending_restore = Some(
-                                                resil.store.root().join(format!("shrunk_g{gen}")),
-                                            );
-                                            continue 'world;
-                                        }
-                                        _ => {
-                                            stats.failure = Some(
-                                                "no committed checkpoint to continue degraded from"
-                                                    .to_string(),
-                                            );
-                                            break 'sim;
-                                        }
-                                    }
-                                }
-                                SurvivorOutcome::Failed(msg) => {
-                                    stats.failure = Some(msg);
-                                    break 'sim;
-                                }
-                            },
-                        };
-                        if sev >= 2.0 {
-                            let reason =
-                                format!("fatal state at ocn coupling {ocn_idx}: {verdict}");
-                            if let Some(fail) = begin_rollback(rank, resil, &reason) {
-                                stats.failure = Some(fail.to_string());
-                                break 'sim;
-                            }
-                            loop {
-                                let cand = agree_candidate(rank, -1);
-                                if cand < 0 {
-                                    stats.failure =
-                                        Some("no committed checkpoint to roll back to".into());
-                                    break 'sim;
-                                }
-                                let dir = resil.store.dir(cand as u64);
-                                let loaded =
-                                    crate::restart::read_ocn_restart(&dir, &mut ocn.state, me - 1);
-                                if vote_all_ok(rank, loaded.is_ok()) {
-                                    clock.time = (cand as f64 * ocn_period).round() as i64;
-                                    ap3esm_obs::instant("rollback.restored");
-                                    break;
-                                }
-                                if let Err(e) = &loaded {
-                                    eprintln!(
-                                        "[resilience] checkpoint {cand} unusable on rank {me}: {e}"
-                                    );
-                                }
-                                rank.barrier(); // rank 0 invalidates the candidate
-                            }
-                        } else if resil.cfg.checkpoint_interval > 0
-                            && ocn_idx.is_multiple_of(resil.cfg.checkpoint_interval as u64)
-                        {
-                            let id = ocn_idx;
-                            ap3esm_obs::instant("checkpoint.begin");
-                            fr_record(rank, ap3esm_obs::FrKind::CkptBegin, id, 0, "");
-                            rank.barrier(); // rank 0 clears the checkpoint dir
-                            let dir = resil.store.dir(id);
-                            with_retry(
-                                "checkpoint write",
-                                resil.cfg.retries,
-                                resil.cfg.backoff,
-                                || crate::restart::write_ocn_restart(&dir, &ocn.state, me - 1),
-                            )
-                            .expect("checkpoint write");
-                            rank.barrier(); // rank 0 commits after this
-                        }
-                    }
-
-                    // Continuous telemetry: the collective leg of rank 0's
-                    // busy-time exchange (results only consumed there).
-                    if telemetry_on {
-                        let busy = timers.seconds("ocn_run");
-                        let d_busy = (busy - tele_prev_busy).max(0.0);
-                        tele_prev_busy = busy;
-                        let _ = ap3esm_comm::collectives::allreduce_max(rank, TELE_MAX_TAG, d_busy);
-                        let _ = ap3esm_comm::collectives::allreduce_sum(rank, TELE_SUM_TAG, d_busy);
-                    }
-                }
-            }
-            stats.simulated_seconds = clock.time as f64;
-            if let Some(r) = &resil {
-                stats.recoveries = r.recoveries;
             }
         }
 
-        // Both branches fall through here when the run is over (completed,
-        // structurally failed, or this rank died); only a shrink hand-off
-        // re-enters the loop with the next world generation.
+        'sim: while stats.failure.is_none() && (clock.time as f64) < total_seconds {
+            let event = clock.advance();
+            if let Some(c) = cpl.as_mut() {
+                if event.atm {
+                    c.run_atm(&clock, atm_period, opts, &mut timers, &mut stats);
+                }
+                if event.ice {
+                    c.run_ice(ice_period, &mut timers, &mut stats);
+                }
+            }
+            if !event.ocn {
+                continue;
+            }
+
+            // ----- Ocean coupling, the same sequence on every rank: merge,
+            //       four scatters, ocean step, three gathers, the KE sum.
+            //       The coupler times it as `cpl_rearrange` up to the ocean
+            //       step; ocean work, and everything on an ocean-only rank,
+            //       is `ocn_run`. -----
+            let mut section = if cpl.is_some() {
+                "cpl_rearrange"
+            } else {
+                "ocn_run"
+            };
+            timers.start(section);
+            let fluxes = cpl.as_ref().map(CouplerSide::merge_fluxes);
+            // Under the recovery layer a failed exchange is a fault verdict
+            // (rollback), not a panic; without it the run panics below.
+            let mut comm_fault: Option<String> = None;
+            // A failed scatter leg zero-fills its field and the ocean still
+            // steps on it; the comm fault then makes the health vote fatal
+            // and the coupling is rolled back (or, without the recovery
+            // layer, the run panics), so no checkpoint ever holds it.
+            let mut fields = Vec::with_capacity(4);
+            for k in 0..4 {
+                let src = fluxes.as_ref().map_or(&[][..], |f| &f[k]);
+                fields.push(
+                    scatter
+                        .try_rearrange(rank, config.strategy, src, my_ocn_cols)
+                        .unwrap_or_else(|e| {
+                            note_fault(&mut comm_fault, e);
+                            vec![0.0; my_ocn_cols]
+                        }),
+                );
+            }
+            let exports = match ocean.as_mut() {
+                Some(o) => {
+                    if section != "ocn_run" {
+                        timers.stop(section);
+                        section = "ocn_run";
+                        timers.start(section);
+                    }
+                    if let Err(e) = o.step(rank, &fields) {
+                        note_fault(&mut comm_fault, e);
+                    }
+                    o.exports()
+                }
+                None => Default::default(),
+            };
+            // A failed gather leg keeps the previous surface state (the
+            // rollback follows).
+            for (k, src) in exports.iter().enumerate() {
+                match gather.try_rearrange(rank, config.strategy, src, my_root_cols) {
+                    Ok(v) => {
+                        if let Some(c) = cpl.as_mut() {
+                            *[&mut c.sst, &mut c.ssu, &mut c.ssv][k] = v;
+                        }
+                    }
+                    Err(e) => note_fault(&mut comm_fault, e),
+                }
+            }
+            timers.stop(section);
+            let local_ke = ocean.as_ref().map_or(0.0, |o| o.ocn.state.kinetic_energy());
+            let ke = collectives::allreduce_sum(rank, 77, local_ke).unwrap_or_else(|e| {
+                note_fault(&mut comm_fault, e);
+                f64::NAN
+            });
+            if let Some(c) = &cpl {
+                stats.sst_series.push(c.mean_sst());
+                stats.ke_series.push(ke);
+            }
+            if let (None, Some(e)) = (&resil, &comm_fault) {
+                panic!("coupler exchange failed: {e}");
+            }
+
+            // ----- Recovery layer: fault injection, guards, health
+            //       agreement, then checkpoint or rollback (ocean couplings
+            //       are the global synchronisation points). -----
+            if let Some(resil) = resil.as_mut() {
+                let ocn_idx = ((clock.time as f64) / ocn_period).round() as u64;
+                if let Some(inj) = rank.fault_injector() {
+                    // Fault plans name physical (machine) ranks and never
+                    // let rank 0 die. A dead rank stops participating with
+                    // no farewell message, like a node dropping off the
+                    // interconnect; the survivors detect the silence at the
+                    // health agreement and shrink around it.
+                    if inj.take_die(rank.world_id(), ocn_idx) {
+                        let msg = format!(
+                            "rank {} died permanently at ocn coupling {ocn_idx}",
+                            rank.world_id()
+                        );
+                        eprintln!("[resilience] {msg}");
+                        stats.fault_events.push(msg);
+                        stats.lost = true;
+                        ap3esm_obs::counter_add("resilience.faults", 1);
+                        ap3esm_obs::instant("fault.die");
+                        fr_record(
+                            rank,
+                            FrKind::Fault,
+                            ocn_idx,
+                            0,
+                            "died permanently (injected)",
+                        );
+                        break 'sim;
+                    }
+                    if inj.take_kill(rank.world_id(), ocn_idx) {
+                        // Simulated state loss: the rank's first side turns
+                        // to garbage, which its guard detects.
+                        if let Some(c) = cpl.as_mut() {
+                            c.atm.theta.fill(f64::NAN);
+                        } else if let Some(o) = ocean.as_mut() {
+                            o.ocn.state.eta.fill(f64::NAN);
+                        }
+                        ap3esm_obs::counter_add("resilience.faults", 1);
+                        ap3esm_obs::instant("fault.kill");
+                        fr_record(
+                            rank,
+                            FrKind::Fault,
+                            ocn_idx,
+                            0,
+                            "killed (state corrupted, injected)",
+                        );
+                    }
+                }
+                let mut verdict = cpl
+                    .as_ref()
+                    .map_or(HealthVerdict::Healthy, CouplerSide::check);
+                if let Some(o) = &ocean {
+                    verdict = verdict.worst(o.check());
+                }
+                if let Some(e) = comm_fault.take() {
+                    stats
+                        .fault_events
+                        .push(format!("comm fault at ocn coupling {ocn_idx}: {e}"));
+                    verdict = verdict.worst(HealthVerdict::Fatal(format!("comm: {e}")));
+                }
+                let verdict = observe_verdict(verdict, me);
+                let sev = match agree_severity(rank, verdict.severity()) {
+                    Ok(sev) => sev,
+                    // The health agreement itself lost a peer: escalate to a
+                    // membership vote (DESIGN.md §13 rung 3).
+                    Err(e) => match agree_survivors(
+                        rank,
+                        &e,
+                        &mut stats,
+                        &mut shrinks,
+                        resil.cfg.max_shrinks,
+                    ) {
+                        // Everyone is alive after all (dropped or very late
+                        // messages): treat as a fatal transient and roll back.
+                        SurvivorOutcome::Transient => 2.0,
+                        SurvivorOutcome::Shrunk => {
+                            match hand_off_checkpoint(rank, &resil.store, &ocn_grid, &ocn_decomp) {
+                                Some(dir) => {
+                                    stats.degraded_ranks = rank.world_size() - rank.size();
+                                    pending_restore = Some(dir);
+                                    continue 'world;
+                                }
+                                None => {
+                                    stats.failure = Some(
+                                        "no committed checkpoint to continue degraded from".into(),
+                                    );
+                                    break 'sim;
+                                }
+                            }
+                        }
+                        SurvivorOutcome::Failed(msg) => {
+                            stats.failure = Some(msg);
+                            break 'sim;
+                        }
+                    },
+                };
+                if sev >= 2.0 {
+                    let reason = format!("fatal state at ocn coupling {ocn_idx}: {verdict}");
+                    if let Some(fail) = begin_rollback(rank, resil, &reason) {
+                        stats.failure = Some(fail.to_string());
+                        break 'sim;
+                    }
+                    // Newest committed checkpoint every rank can load; rank
+                    // 0 withdraws a damaged one and the vote repeats.
+                    loop {
+                        let cand = agree_candidate(rank, &resil.store);
+                        if cand < 0 {
+                            stats.failure = Some(
+                                RecoveryFailure {
+                                    recoveries_attempted: resil.recoveries,
+                                    reason: "no committed checkpoint to roll back to".into(),
+                                }
+                                .to_string(),
+                            );
+                            break 'sim;
+                        }
+                        let dir = resil.store.dir(cand as u64);
+                        // Every member is alive (the health agreement just
+                        // completed), so the vote itself cannot fail.
+                        if restore_agreed(rank, &dir, &mut cpl, &mut ocean, &mut clock, &mut stats)
+                            .expect("checkpoint vote")
+                        {
+                            ap3esm_obs::instant("rollback.restored");
+                            if is_root {
+                                eprintln!(
+                                    "[resilience] restored checkpoint {cand}, replaying from t = {} s",
+                                    clock.time
+                                );
+                            }
+                            break;
+                        }
+                        if is_root {
+                            stats
+                                .fault_events
+                                .push(format!("checkpoint {cand} rejected at restore"));
+                            resil
+                                .store
+                                .invalidate(cand as u64)
+                                .expect("invalidate damaged checkpoint");
+                        }
+                        rank.barrier();
+                    }
+                } else if resil.cfg.checkpoint_interval > 0
+                    && ocn_idx.is_multiple_of(resil.cfg.checkpoint_interval as u64)
+                {
+                    // Rank 0 clears the directory, every rank writes its
+                    // sides, rank 0 commits once all writes are done.
+                    let id = ocn_idx;
+                    ap3esm_obs::instant("checkpoint.begin");
+                    fr_record(rank, FrKind::CkptBegin, id, 0, "");
+                    if is_root {
+                        with_retry(
+                            "checkpoint begin",
+                            resil.cfg.retries,
+                            resil.cfg.backoff,
+                            || resil.store.begin(id),
+                        )
+                        .expect("checkpoint begin");
+                    }
+                    rank.barrier();
+                    let dir = resil.store.dir(id);
+                    with_retry(
+                        "checkpoint write",
+                        resil.cfg.retries,
+                        resil.cfg.backoff,
+                        || -> Result<(), IoError> {
+                            if let Some(c) = cpl.as_mut() {
+                                c.write_checkpoint(&dir, clock.time, &stats)?;
+                            }
+                            ocean.as_ref().map_or(Ok(()), |o| o.write_checkpoint(&dir))
+                        },
+                    )
+                    .expect("checkpoint write");
+                    rank.barrier();
+                    if is_root {
+                        commit_checkpoint(rank, resil, id);
+                    }
+                }
+            }
+
+            // ----- Live telemetry heartbeat (opt-in, rank 0 only): step
+            //       rate, SYPD estimate and component split since the
+            //       previous heartbeat. -----
+            if let Some(every) = opts.progress_every.filter(|&e| is_root && e > 0) {
+                if (stats.ke_series.len() as u64).is_multiple_of(every) {
+                    let now = std::time::Instant::now();
+                    let sim_s = clock.time as f64;
+                    let (dw, ds) = match hb_last {
+                        Some((w, s)) => (now.duration_since(w).as_secs_f64(), sim_s - s),
+                        None => (t_start.elapsed().as_secs_f64(), sim_s),
+                    };
+                    let dw = dw.max(1e-9);
+                    let split: Vec<String> =
+                        ["atm_run", "lnd_run", "ocn_run", "ice_run", "cpl_rearrange"]
+                            .iter()
+                            .filter(|s| timers.count(s) > 0)
+                            .map(|s| format!("{s} {:.2}s", timers.seconds(s)))
+                            .collect();
+                    eprintln!(
+                        "[telemetry] day {:.2}/{:.1} | {:.2} couplings/s | est. SYPD {:.2} | {}",
+                        clock.days(),
+                        opts.days,
+                        (ds / ocn_period) / dw,
+                        get_timing(ds, dw),
+                        split.join(", ")
+                    );
+                    hb_last = Some((now, sim_s));
+                }
+            }
+
+            // ----- Continuous telemetry: global busy-time exchange at the
+            //       coupling sync point, then rank-0 gauges the sampler
+            //       thread turns into series. -----
+            if telemetry_on {
+                let busy: f64 = timers.sections().iter().map(|s| timers.seconds(s)).sum();
+                let d_busy = (busy - tele_prev_busy).max(0.0);
+                tele_prev_busy = busy;
+                let max_busy =
+                    collectives::allreduce_max(rank, TELE_MAX_TAG, d_busy).unwrap_or(d_busy);
+                let sum_busy =
+                    collectives::allreduce_sum(rank, TELE_SUM_TAG, d_busy).unwrap_or(d_busy);
+                if is_root {
+                    let now = std::time::Instant::now();
+                    let dw = now.duration_since(tele_last_wall).as_secs_f64().max(1e-9);
+                    tele_last_wall = now;
+                    ap3esm_obs::gauge_set("sim.step_wall_s", dw);
+                    ap3esm_obs::gauge_set("sim.sypd", get_timing(ocn_period, dw));
+                    let mean_busy = sum_busy / world_ranks as f64;
+                    if mean_busy > 0.0 {
+                        ap3esm_obs::gauge_set("sim.imbalance", max_busy / mean_busy);
+                    }
+                }
+            }
+        }
+        stats.simulated_seconds = clock.time as f64;
+        if let Some(r) = &resil {
+            stats.recoveries = r.recoveries;
+        }
+
+        // The run is over (completed, structurally failed, or this rank
+        // died); only a shrink hand-off re-enters the loop with the next
+        // world generation.
         break 'world;
     } // 'world
 
@@ -2013,14 +1864,14 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
         if let Some(f) = &stats.failure {
             fr_record(
                 rank,
-                ap3esm_obs::FrKind::Fault,
+                FrKind::Fault,
                 0,
                 0,
                 &format!("structured failure: {f}"),
             );
         }
         for a in &alert_events {
-            fr_record(rank, ap3esm_obs::FrKind::Alert, 0, 0, &a.message);
+            fr_record(rank, FrKind::Alert, 0, 0, &a.message);
         }
         let troubled = stats.failure.is_some()
             || stats.shrinks > 0
@@ -2036,11 +1887,7 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
                 format!("recovery-failure: {f}")
             } else if stats.shrinks > 0 {
                 "shrink".to_string()
-            } else if stats
-                .fault_events
-                .iter()
-                .any(|e| e.contains("deadlock"))
-            {
+            } else if stats.fault_events.iter().any(|e| e.contains("deadlock")) {
                 "deadlock".to_string()
             } else {
                 "fault".to_string()
@@ -2137,7 +1984,7 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
                 );
             }
             let wire = ap3esm_obs::trace::encode_events(&events);
-            match ap3esm_comm::collectives::gather::<u8>(rank, 0x0B76, 0, wire) {
+            match collectives::gather::<u8>(rank, 0x0B76, 0, wire) {
                 Ok(gathered) => {
                     trace_events = gathered.map(|parts| {
                         parts
@@ -2426,6 +2273,16 @@ mod tests {
         for (a, b) in seq[0].ke_series.iter().zip(&con[0].ke_series) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+        for (name, a, b) in [
+            ("theta", &seq[0].theta_series, &con[0].theta_series),
+            ("ice", &seq[0].ice_series, &con[0].ice_series),
+        ] {
+            assert_eq!(a.len(), b.len(), "{name} series length");
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(x.to_bits(), y.to_bits(), "task layout changed {name}");
+            }
+        }
+        assert_eq!(seq[0].simulated_seconds, con[0].simulated_seconds);
     }
 
     #[test]

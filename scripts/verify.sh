@@ -5,5 +5,5 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test --workspace -q
 cargo clippy --workspace -- -D warnings

@@ -189,3 +189,57 @@ fn checkpointing_alone_does_not_perturb_the_trajectory() {
 
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
+
+/// The sequential layout (coupler and ocean on one rank) takes the same
+/// recovery path: a kill at ocean coupling 3 plus a corrupted preferred
+/// checkpoint must roll back through both sides' checkpoint write and
+/// restore, and finish bit-exact with the fault-free sequential run.
+#[test]
+fn single_domain_kill_and_corrupt_checkpoint_recover_bit_exact() {
+    let mut config = CoupledConfig::test_tiny();
+    config.single_domain = true;
+    (config.ocn_px, config.ocn_py) = (1, 1);
+    assert_eq!(config.world_size(), 1);
+
+    let plain = CoupledOptions {
+        days: 1.0,
+        ..Default::default()
+    };
+    let reference = World::new(1).run(|rank| run_coupled(rank, &config, &plain));
+
+    let plan = FaultPlan::parse(
+        "kill rank=0 step=3\ncorrupt ckpt=2 field=atm_theta subfile=0 byte=100",
+    )
+    .unwrap();
+    let ckpt_dir = tmpdir("single-domain");
+    let opts = CoupledOptions {
+        days: 1.0,
+        checkpoint_dir: Some(ckpt_dir.clone()),
+        recovery: RecoveryConfig {
+            checkpoint_interval: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let faulted = World::new(1)
+        .with_fault_injector(Arc::new(FaultInjector::new(plan)))
+        .run(|rank| run_coupled(rank, &config, &opts));
+
+    let (r0, f0) = (&reference[0], &faulted[0]);
+    assert!(f0.failure.is_none(), "run failed: {:?}", f0.failure);
+    assert_eq!(f0.recoveries, 1, "expected exactly one rollback");
+    assert!(
+        f0.fault_events
+            .iter()
+            .any(|e| e.contains("checkpoint 2 rejected at restore")),
+        "no rejected-restore event in: {:?}",
+        f0.fault_events
+    );
+    assert_bitwise("sst_series", &r0.sst_series, &f0.sst_series);
+    assert_bitwise("ke_series", &r0.ke_series, &f0.ke_series);
+    assert_bitwise("theta_series", &r0.theta_series, &f0.theta_series);
+    assert_bitwise("ice_series", &r0.ice_series, &f0.ice_series);
+    assert_eq!(r0.simulated_seconds, f0.simulated_seconds);
+
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+}
