@@ -11,13 +11,13 @@
 //! Mass and tracers are flux-form (exactly conservative). Time stepping is
 //! the paper's three-rate split: `dt_dyn` (8 s at 1 km) sub-steps inside
 //! `dt_tracer` (30 s) inside the model/physics step `dt_model` (120 s);
-//! tracer transport uses the dycore-accumulated mean mass flux.
+//! θ and moisture are advected upwind at the dycore rate and the tracer
+//! step filters moisture at the tracer rate.
 
 use std::sync::Arc;
 
 use ap3esm_grid::{GeodesicGrid, EARTH_RADIUS};
 use ap3esm_physics::constants::{coriolis, KAPPA, R_DRY};
-use ap3esm_pp::{ExecSpace, Serial, SharedSlice};
 
 use crate::state::AtmState;
 use crate::P_REF;
@@ -50,6 +50,23 @@ impl DycoreConfig {
         }
     }
 
+    /// Stepping fitted so an integer number of model steps covers the
+    /// coupling `period` (s), keeping the 1:4:16 rate structure (§5.1.1's
+    /// consistency requirement).
+    pub fn fitted_to_period(dx_km: f64, period: f64) -> Self {
+        let base = Self::for_spacing_km(dx_km);
+        let n = (period / base.dt_model).ceil().max(1.0);
+        let dt_model = period / n;
+        let dt_tracer = dt_model / 4.0;
+        let dt_dyn = dt_tracer / 4.0;
+        DycoreConfig {
+            dt_dyn,
+            dt_tracer,
+            dt_model,
+            nu: 0.015 * (dx_km * 1000.0).powi(2) / dt_dyn,
+        }
+    }
+
     pub fn dyn_substeps(&self) -> usize {
         (self.dt_tracer / self.dt_dyn).round() as usize
     }
@@ -59,7 +76,78 @@ impl DycoreConfig {
     }
 }
 
-/// Precomputed geometry + work buffers for the dycore.
+/// One entry of the flat cell→edge table: the edge, its outward sign, its
+/// physical face length and the edge normal projected on the cell's east
+/// and north unit vectors (the least-squares reconstruction weights).
+#[derive(Debug, Clone, Copy)]
+struct CellEdge {
+    e: usize,
+    sign: f64,
+    le: f64,
+    n_east: f64,
+    n_north: f64,
+}
+
+/// Per-cell quantities of one level that the momentum edge loop reads.
+#[derive(Debug, Clone, Copy, Default)]
+struct CellLevel {
+    /// Reconstructed (east, north) velocity.
+    u_east: f64,
+    u_north: f64,
+    /// Velocity divergence.
+    div_u: f64,
+    /// Bernoulli function K + Φ.
+    bern: f64,
+    /// Temperature.
+    t: f64,
+}
+
+/// Scratch arrays of the dynamics substep for one grid and level count.
+/// Created per [`Dycore::step_model_dynamics`] (or [`Dycore::step_dyn`])
+/// call and dropped with it, so the dycore holds no memory between model
+/// steps. Every array is fully overwritten before it is read within a
+/// substep; nothing carries from one substep to the next.
+struct DynWork {
+    /// `0.5·(ps[a] + ps[b])` per edge (old mass field).
+    ps_edge: Vec<f64>,
+    /// Mass, θ and q fluxes of one level per edge.
+    flux: Vec<[f64; 3]>,
+    /// Column-summed mass-flux convergence per cell.
+    dps_dt: Vec<f64>,
+    /// θ and q flux divergences per (level, cell).
+    tq_div: Vec<[f64; 2]>,
+    /// ln pₛ per cell and `(ln pₛ[b] − ln pₛ[a]) / de` per edge (new mass
+    /// field).
+    ln_ps: Vec<f64>,
+    grad_lnps: Vec<f64>,
+    /// Hypsometric integration carried upward level by level per cell.
+    phi_below: Vec<f64>,
+    p_below: Vec<f64>,
+    /// Cell quantities of the current level.
+    cell: Vec<CellLevel>,
+    /// Relative vorticity of the current level at corners.
+    zeta: Vec<f64>,
+}
+
+impl DynWork {
+    fn new(grid: &GeodesicGrid, nlev: usize) -> Self {
+        let (n, ne) = (grid.ncells(), grid.nedges());
+        DynWork {
+            ps_edge: vec![0.0; ne],
+            flux: vec![[0.0; 3]; ne],
+            dps_dt: vec![0.0; n],
+            tq_div: vec![[0.0; 2]; nlev * n],
+            ln_ps: vec![0.0; n],
+            grad_lnps: vec![0.0; ne],
+            phi_below: vec![0.0; n],
+            p_below: vec![0.0; n],
+            cell: vec![CellLevel::default(); n],
+            zeta: vec![0.0; grid.ncorners()],
+        }
+    }
+}
+
+/// Precomputed geometry for the dycore.
 pub struct Dycore {
     grid: Arc<GeodesicGrid>,
     /// Physical Voronoi-face lengths (m).
@@ -74,7 +162,12 @@ pub struct Dycore {
     f_edge: Vec<f64>,
     /// Per corner: the three (edge, circulation sign) pairs.
     corner_edges: Vec<[(usize, f64); 3]>,
-    /// Per cell: east and north unit vectors (3-D) for reconstruction.
+    /// Cell→edge table in CSR form: cell `i` owns
+    /// `cell_edge[cell_edge_start[i]..cell_edge_start[i + 1]]`.
+    cell_edge_start: Vec<usize>,
+    cell_edge: Vec<CellEdge>,
+    /// Per cell: east and north unit vectors (3-D), to turn reconstructed
+    /// cell velocities back into 3-D vectors.
     cell_east: Vec<[f64; 3]>,
     cell_north: Vec<[f64; 3]>,
     /// Per cell: inverse of the 2×2 least-squares normal matrix.
@@ -84,8 +177,6 @@ pub struct Dycore {
     /// Per edge: the two adjacent corners ordered along +t̂ (down-, up-
     /// tangent) so ∂ζ/∂t̂ has a consistent sign.
     edge_corners_oriented: Vec<(usize, usize)>,
-    /// Per edge: normal (3-D), cached from the grid.
-    edge_normal: Vec<[f64; 3]>,
     pub config: DycoreConfig,
 }
 
@@ -128,33 +219,42 @@ impl Dycore {
         let mut cell_east = Vec::with_capacity(grid.ncells());
         let mut cell_north = Vec::with_capacity(grid.ncells());
         let mut cell_ls_inv = Vec::with_capacity(grid.ncells());
+        let mut cell_edge_start = Vec::with_capacity(grid.ncells() + 1);
+        let mut cell_edge = Vec::with_capacity(2 * grid.nedges());
         for i in 0..grid.ncells() {
             let east = grid.cells[i].east();
             let north = grid.cells[i].north();
             cell_east.push([east.x, east.y, east.z]);
             cell_north.push([north.x, north.y, north.z]);
+            cell_edge_start.push(cell_edge.len());
             let (mut a11, mut a12, mut a22) = (0.0, 0.0, 0.0);
-            for &(e, _) in &grid.cell_edges[i] {
+            for &(e, sign) in &grid.cell_edges[i] {
                 let n = grid.edge_normals[e];
                 let ne = n.dot(east);
                 let nn = n.dot(north);
                 a11 += ne * ne;
                 a12 += ne * nn;
                 a22 += nn * nn;
+                cell_edge.push(CellEdge {
+                    e,
+                    sign,
+                    le: le[e],
+                    n_east: ne,
+                    n_north: nn,
+                });
             }
             let det = a11 * a22 - a12 * a12;
             assert!(det.abs() > 1e-12, "degenerate reconstruction at cell {i}");
             cell_ls_inv.push([a22 / det, -a12 / det, a11 / det]);
         }
+        cell_edge_start.push(cell_edge.len());
 
         let mut edge_tangent = Vec::with_capacity(grid.nedges());
-        let mut edge_normal = Vec::with_capacity(grid.nedges());
         let mut edge_corners_oriented = Vec::with_capacity(grid.nedges());
         for e in 0..grid.nedges() {
             let n = grid.edge_normals[e];
             let t = grid.edge_midpoints[e].cross(n);
             edge_tangent.push([t.x, t.y, t.z]);
-            edge_normal.push([n.x, n.y, n.z]);
             let (c0, c1) = grid.edge_corners[e];
             let along = grid.corners[c1] - grid.corners[c0];
             if along.dot(t) >= 0.0 {
@@ -172,11 +272,12 @@ impl Dycore {
             corner_area,
             f_edge,
             corner_edges,
+            cell_edge_start,
+            cell_edge,
             cell_east,
             cell_north,
             cell_ls_inv,
             edge_tangent,
-            edge_normal,
             edge_corners_oriented,
             config,
         }
@@ -186,36 +287,10 @@ impl Dycore {
         &self.grid
     }
 
-    /// Physical divergence of an edge flux field into `out` (per cell).
-    fn divergence(&self, flux: &[f64], out: &mut [f64]) {
-        for (i, edges) in self.grid.cell_edges.iter().enumerate() {
-            let mut acc = 0.0;
-            for &(e, sign) in edges {
-                acc += sign * flux[e] * self.le[e];
-            }
-            out[i] = acc / self.area[i];
-        }
-    }
-
-    /// Reconstruct (east, north) cell velocity components for one level.
-    fn reconstruct(&self, un: &[f64], out: &mut [(f64, f64)]) {
-        let grid = &self.grid;
-        let shared = SharedSlice::new(out);
-        let space = Serial;
-        space.for_each(grid.ncells(), &|i| {
-            let east = self.cell_east[i];
-            let north = self.cell_north[i];
-            let (mut b1, mut b2) = (0.0, 0.0);
-            for &(e, _) in &grid.cell_edges[i] {
-                let n = self.edge_normal[e];
-                let ne = n[0] * east[0] + n[1] * east[1] + n[2] * east[2];
-                let nn = n[0] * north[0] + n[1] * north[1] + n[2] * north[2];
-                b1 += ne * un[e];
-                b2 += nn * un[e];
-            }
-            let inv = self.cell_ls_inv[i];
-            unsafe { shared.set(i, (inv[0] * b1 + inv[1] * b2, inv[1] * b1 + inv[2] * b2)) };
-        });
+    /// The cell→edge entries of cell `i`.
+    #[inline]
+    fn edges_of(&self, i: usize) -> &[CellEdge] {
+        &self.cell_edge[self.cell_edge_start[i]..self.cell_edge_start[i + 1]]
     }
 
     /// Relative vorticity at corners for one level.
@@ -229,124 +304,137 @@ impl Dycore {
         }
     }
 
-    /// One dynamics substep of length `dt`. Accumulates the layer mass flux
-    /// (Pa·m/s, edge × level) into `mass_flux_accum` for tracer transport.
-    pub fn step_dyn(&self, state: &mut AtmState, dt: f64, mass_flux_accum: &mut [f64]) {
+    /// One dynamics substep of length `dt`, with scratch arrays of its own.
+    /// [`Dycore::step_model_dynamics`] shares one set across its substeps.
+    pub fn step_dyn(&self, state: &mut AtmState, dt: f64) {
+        let mut work = DynWork::new(&self.grid, state.nlev);
+        self.substep(state, dt, &mut work);
+    }
+
+    /// One dynamics substep of length `dt` using the scratch in `w`.
+    fn substep(&self, state: &mut AtmState, dt: f64, w: &mut DynWork) {
         let grid = &self.grid;
         let n = grid.ncells();
         let ne = grid.nedges();
         let nlev = state.nlev;
 
-        // --- Mass fluxes and continuity (from the old state). ---
-        let mut dps_dt = vec![0.0; n];
-        let mut div_layer = vec![0.0; n];
-        let mut flux = vec![0.0; ne];
-        let mut theta_flux_div = vec![0.0; nlev * n];
-        let mut q_flux_div = vec![0.0; nlev * n];
-        let mut tracer_div_buf = vec![0.0; n];
+        // --- Mass fluxes and continuity (from the old state): one edge
+        //     pass for the mass, θ and q fluxes of a level, then one cell
+        //     pass for their three divergences. ---
+        for (pe, &(a, b)) in w.ps_edge.iter_mut().zip(&grid.edges) {
+            *pe = 0.5 * (state.ps[a] + state.ps[b]);
+        }
+        w.dps_dt.fill(0.0);
         for k in 0..nlev {
             let unk = &state.un[k * ne..(k + 1) * ne];
-            for (e, &(a, b)) in grid.edges.iter().enumerate() {
-                let ps_e = 0.5 * (state.ps[a] + state.ps[b]);
-                flux[e] = unk[e] * ps_e * state.dsigma[k];
-            }
-            self.divergence(&flux, &mut div_layer);
-            for i in 0..n {
-                dps_dt[i] -= div_layer[i];
-            }
-            mass_flux_accum[k * ne..(k + 1) * ne]
-                .iter_mut()
-                .zip(&flux)
-                .for_each(|(acc, f)| *acc += f * dt);
-
-            // Upwind θ and q fluxes for the dycore-rate θ update.
             let thk = &state.theta[k * n..(k + 1) * n];
             let qk = &state.q[k * n..(k + 1) * n];
-            let mut tflux = vec![0.0; ne];
-            let mut qflux = vec![0.0; ne];
+            let dsigma = state.dsigma[k];
             for (e, &(a, b)) in grid.edges.iter().enumerate() {
-                let up = if flux[e] >= 0.0 { a } else { b };
-                tflux[e] = flux[e] * thk[up];
-                qflux[e] = flux[e] * qk[up];
+                let f = unk[e] * w.ps_edge[e] * dsigma;
+                // Upwind θ and q fluxes for the dycore-rate θ update.
+                let up = if f >= 0.0 { a } else { b };
+                w.flux[e] = [f, f * thk[up], f * qk[up]];
             }
-            self.divergence(&tflux, &mut tracer_div_buf);
-            theta_flux_div[k * n..(k + 1) * n].copy_from_slice(&tracer_div_buf);
-            self.divergence(&qflux, &mut tracer_div_buf);
-            q_flux_div[k * n..(k + 1) * n].copy_from_slice(&tracer_div_buf);
+            let tq_div = &mut w.tq_div[k * n..(k + 1) * n];
+            for (i, div) in tq_div.iter_mut().enumerate() {
+                let (mut acc_m, mut acc_t, mut acc_q) = (0.0, 0.0, 0.0);
+                for ce in self.edges_of(i) {
+                    let [fm, ft, fq] = w.flux[ce.e];
+                    acc_m += ce.sign * fm * ce.le;
+                    acc_t += ce.sign * ft * ce.le;
+                    acc_q += ce.sign * fq * ce.le;
+                }
+                let area = self.area[i];
+                w.dps_dt[i] -= acc_m / area;
+                *div = [acc_t / area, acc_q / area];
+            }
         }
 
         // --- Forward-backward staging: apply continuity and tracer-mass
         //     updates first, so the pressure-gradient force below sees the
         //     *new* mass field (stabilises external gravity waves). ---
-        for (i, &dps) in dps_dt.iter().enumerate() {
+        for (i, &dps) in w.dps_dt.iter().enumerate() {
             let ps_old = state.ps[i];
             let ps_new = ps_old + dt * dps;
             for k in 0..nlev {
                 let dp_old = state.dsigma[k] * ps_old;
                 let dp_new = state.dsigma[k] * ps_new;
                 let idx = k * n + i;
-                let th_mass = state.theta[idx] * dp_old - dt * theta_flux_div[idx];
+                let [theta_div, q_div] = w.tq_div[idx];
+                let th_mass = state.theta[idx] * dp_old - dt * theta_div;
                 state.theta[idx] = th_mass / dp_new;
-                let q_mass = state.q[idx] * dp_old - dt * q_flux_div[idx];
+                let q_mass = state.q[idx] * dp_old - dt * q_div;
                 state.q[idx] = q_mass / dp_new;
             }
             state.ps[i] = ps_new;
+            w.phi_below[i] = 0.0;
+            w.p_below[i] = ps_new;
+        }
+        // ln pₛ once per cell, its gradient once per edge (level-independent).
+        for (l, p) in w.ln_ps.iter_mut().zip(&state.ps) {
+            *l = p.ln();
+        }
+        for (e, &(a, b)) in grid.edges.iter().enumerate() {
+            w.grad_lnps[e] = (w.ln_ps[b] - w.ln_ps[a]) / self.de[e];
         }
 
-        // --- Diagnose T, Φ from the updated mass field. ---
-        let mut t_field = vec![0.0; nlev * n];
-        let mut phi = vec![0.0; nlev * n];
-        for i in 0..n {
-            let ps = state.ps[i];
-            let mut phi_below = 0.0;
-            let mut p_below = ps;
-            for k in 0..nlev {
-                let p = state.sigma[k] * ps;
-                let t = state.theta[k * n + i] * (p / P_REF).powf(KAPPA);
-                t_field[k * n + i] = t;
-                // Hypsometric increment from the previous reference level.
-                phi[k * n + i] = phi_below + R_DRY * t * (p_below / p).ln();
-                phi_below = phi[k * n + i];
-                p_below = p;
-            }
-        }
-
-        // --- Momentum tendencies per level (old winds, new mass field). ---
-        let mut cell_vec = vec![(0.0, 0.0); n];
-        let mut zeta = vec![0.0; grid.ncorners()];
-        let mut div_u = vec![0.0; n];
-        let mut new_un = vec![0.0; nlev * ne];
+        // --- Momentum per level (old winds, new mass field), updated in
+        //     place: the edge loop reads only its own edge's old wind. ---
         for k in 0..nlev {
-            let unk = &state.un[k * ne..(k + 1) * ne];
-            self.reconstruct(unk, &mut cell_vec);
-            self.vorticity(unk, &mut zeta);
-            self.divergence(unk, &mut div_u);
+            let unk = &mut state.un[k * ne..(k + 1) * ne];
+            self.vorticity(unk, &mut w.zeta);
 
-            // Bernoulli function K + Φ at cells.
-            let mut bern = vec![0.0; n];
-            for i in 0..n {
-                let (ue, uno) = cell_vec[i];
-                bern[i] = 0.5 * (ue * ue + uno * uno) + phi[k * n + i];
+            // T and Φ of this level from the updated mass field, then the
+            // reconstructed cell velocity, div u and the Bernoulli function.
+            let sigma = state.sigma[k];
+            let thk = &state.theta[k * n..(k + 1) * n];
+            for (i, &theta) in thk.iter().enumerate() {
+                let p = sigma * state.ps[i];
+                let t = theta * (p / P_REF).powf(KAPPA);
+                // Hypsometric increment from the previous reference level.
+                let phi = w.phi_below[i] + R_DRY * t * (w.p_below[i] / p).ln();
+                w.phi_below[i] = phi;
+                w.p_below[i] = p;
+
+                let (mut b1, mut b2, mut div) = (0.0, 0.0, 0.0);
+                for ce in self.edges_of(i) {
+                    let u = unk[ce.e];
+                    b1 += ce.n_east * u;
+                    b2 += ce.n_north * u;
+                    div += ce.sign * u * ce.le;
+                }
+                let inv = self.cell_ls_inv[i];
+                let (ue, uno) = (inv[0] * b1 + inv[1] * b2, inv[1] * b1 + inv[2] * b2);
+                w.cell[i] = CellLevel {
+                    u_east: ue,
+                    u_north: uno,
+                    div_u: div / self.area[i],
+                    bern: 0.5 * (ue * ue + uno * uno) + phi,
+                    t,
+                };
             }
 
-            let out = &mut new_un[k * ne..(k + 1) * ne];
+            let zeta = &w.zeta;
             for (e, &(a, b)) in grid.edges.iter().enumerate() {
                 // Tangential velocity from averaged cell vectors.
-                let va = cell_vec[a];
-                let vb = cell_vec[b];
+                let ca = &w.cell[a];
+                let cb = &w.cell[b];
+                let (ea, na) = (&self.cell_east[a], &self.cell_north[a]);
+                let (eb, nb) = (&self.cell_east[b], &self.cell_north[b]);
                 let v3 = [
-                    0.5 * (va.0 * self.cell_east[a][0]
-                        + va.1 * self.cell_north[a][0]
-                        + vb.0 * self.cell_east[b][0]
-                        + vb.1 * self.cell_north[b][0]),
-                    0.5 * (va.0 * self.cell_east[a][1]
-                        + va.1 * self.cell_north[a][1]
-                        + vb.0 * self.cell_east[b][1]
-                        + vb.1 * self.cell_north[b][1]),
-                    0.5 * (va.0 * self.cell_east[a][2]
-                        + va.1 * self.cell_north[a][2]
-                        + vb.0 * self.cell_east[b][2]
-                        + vb.1 * self.cell_north[b][2]),
+                    0.5 * (ca.u_east * ea[0]
+                        + ca.u_north * na[0]
+                        + cb.u_east * eb[0]
+                        + cb.u_north * nb[0]),
+                    0.5 * (ca.u_east * ea[1]
+                        + ca.u_north * na[1]
+                        + cb.u_east * eb[1]
+                        + cb.u_north * nb[1]),
+                    0.5 * (ca.u_east * ea[2]
+                        + ca.u_north * na[2]
+                        + cb.u_east * eb[2]
+                        + cb.u_north * nb[2]),
                 ];
                 let t = self.edge_tangent[e];
                 let ut = v3[0] * t[0] + v3[1] * t[1] + v3[2] * t[2];
@@ -354,29 +442,25 @@ impl Dycore {
                 let (c0, c1) = grid.edge_corners[e];
                 let eta = self.f_edge[e] + 0.5 * (zeta[c0] + zeta[c1]);
 
-                let grad_bern = (bern[b] - bern[a]) / self.de[e];
-                let t_e = 0.5 * (t_field[k * n + a] + t_field[k * n + b]);
-                let grad_lnps = (state.ps[b].ln() - state.ps[a].ln()) / self.de[e];
+                let grad_bern = (cb.bern - ca.bern) / self.de[e];
+                let t_e = 0.5 * (ca.t + cb.t);
+                let grad_lnps = w.grad_lnps[e];
 
                 // Vector Laplacian: ∇ₙδ − ∇ₜζ (corners oriented along +t̂).
                 let (cd, cu) = self.edge_corners_oriented[e];
-                let lap = (div_u[b] - div_u[a]) / self.de[e]
-                    - (zeta[cu] - zeta[cd]) / self.le[e];
+                let lap = (cb.div_u - ca.div_u) / self.de[e] - (zeta[cu] - zeta[cd]) / self.le[e];
 
-                out[e] = unk[e]
-                    + dt * (eta * ut - grad_bern - R_DRY * t_e * grad_lnps
-                        + self.config.nu * lap);
+                unk[e] +=
+                    dt * (eta * ut - grad_bern - R_DRY * t_e * grad_lnps + self.config.nu * lap);
             }
         }
-
-        state.un.copy_from_slice(&new_un);
     }
 
     /// One tracer step: kept as a structural hook matching GRIST's slower
     /// tracer rate. Moisture here is already advected upwind at the dycore
     /// rate (needed for stability); the tracer step applies the *remainder*
     /// of the paper's pipeline — monotonic filtering at the 30 s cadence.
-    pub fn step_tracer(&self, state: &mut AtmState, _mean_mass_flux: &[f64]) {
+    pub fn step_tracer(&self, state: &mut AtmState) {
         // Clip-and-conserve filter: remove negative q (created by the
         // dycore-rate advection of sharp gradients) while conserving the
         // global moisture mass per level.
@@ -404,24 +488,20 @@ impl Dycore {
 
     /// One full model step: `tracer_substeps × dyn_substeps` dynamics
     /// substeps with tracer filtering at the tracer rate. Physics is applied
-    /// by the caller (the physics–dynamics coupler) afterwards.
+    /// by the caller (the physics–dynamics coupler) afterwards. All substeps
+    /// share one set of scratch arrays, dropped when the step returns.
     pub fn step_model_dynamics(&self, state: &mut AtmState) {
         let _span = ap3esm_obs::span("dycore");
-        let ne = self.grid.nedges();
-        let mut mass_flux = vec![0.0; state.nlev * ne];
+        let mut work = DynWork::new(&self.grid, state.nlev);
         for _ in 0..self.config.tracer_substeps() {
-            mass_flux.fill(0.0);
             {
                 let _dyn = ap3esm_obs::span("dyn_substeps");
                 for _ in 0..self.config.dyn_substeps() {
-                    self.step_dyn(state, self.config.dt_dyn, &mut mass_flux);
+                    self.substep(state, self.config.dt_dyn, &mut work);
                 }
             }
-            for f in mass_flux.iter_mut() {
-                *f /= self.config.dt_tracer;
-            }
             let _tracer = ap3esm_obs::span("tracer_step");
-            self.step_tracer(state, &mass_flux);
+            self.step_tracer(state);
         }
     }
 }
@@ -454,10 +534,8 @@ mod tests {
     #[test]
     fn resting_isothermal_atmosphere_stays_at_rest() {
         let (dycore, mut state) = setup(3, 4);
-        let ne = state.nedges();
-        let mut acc = vec![0.0; 4 * ne];
         for _ in 0..10 {
-            dycore.step_dyn(&mut state, dycore.config.dt_dyn, &mut acc);
+            dycore.step_dyn(&mut state, dycore.config.dt_dyn);
         }
         assert!(
             state.max_wind() < 1e-8,
@@ -474,10 +552,8 @@ mod tests {
         state.ps[10] += 500.0;
         state.ps[11] -= 300.0;
         let m0 = state.total_mass();
-        let ne = state.nedges();
-        let mut acc = vec![0.0; 4 * ne];
         for _ in 0..50 {
-            dycore.step_dyn(&mut state, dycore.config.dt_dyn, &mut acc);
+            dycore.step_dyn(&mut state, dycore.config.dt_dyn);
         }
         let m1 = state.total_mass();
         assert!(
@@ -499,10 +575,8 @@ mod tests {
             *u = 3.0 * ((e % 17) as f64 / 17.0 - 0.5);
         }
         let t0 = state.theta_mass();
-        let ne = state.nedges();
-        let mut acc = vec![0.0; 3 * ne];
         for _ in 0..20 {
-            dycore.step_dyn(&mut state, dycore.config.dt_dyn, &mut acc);
+            dycore.step_dyn(&mut state, dycore.config.dt_dyn);
         }
         let t1 = state.theta_mass();
         assert!(
@@ -516,10 +590,8 @@ mod tests {
     fn gravity_wave_spreads_pressure_anomaly() {
         let (dycore, mut state) = setup(3, 3);
         state.ps[0] += 800.0;
-        let ne = state.nedges();
-        let mut acc = vec![0.0; 3 * ne];
         for _ in 0..100 {
-            dycore.step_dyn(&mut state, dycore.config.dt_dyn, &mut acc);
+            dycore.step_dyn(&mut state, dycore.config.dt_dyn);
         }
         // The anomaly must radiate: center value decreases, wind appears.
         assert!(state.ps[0] - P_REF < 700.0, "anomaly stuck: {}", state.ps[0]);
@@ -545,6 +617,51 @@ mod tests {
         // q is clipped but conservatively rescaled: change stays tiny.
         assert!(((state.moisture_mass() - q0) / q0).abs() < 1e-6);
         assert!(state.max_wind() < 60.0);
+    }
+
+    fn bits(s: &AtmState) -> Vec<u64> {
+        [&s.ps, &s.theta, &s.q, &s.un]
+            .into_iter()
+            .flat_map(|f| f.iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn shared_scratch_steps_two_states_as_if_alone() {
+        // One dycore and one substep scratch stepping two different states
+        // alternately must give the bits each state gets stepped alone:
+        // nothing of one state may carry over into the other's substep.
+        let (dycore, base) = setup(3, 4);
+        let mut a = base.clone();
+        let mut b = base;
+        for i in 0..a.ncells() {
+            a.ps[i] += 300.0 * (i as f64 * 0.37).sin();
+            b.theta[i] += 1.5 * (i as f64 * 0.11).cos();
+        }
+        for (e, u) in b.un.iter_mut().enumerate() {
+            *u = 2.0 * ((e % 13) as f64 / 13.0 - 0.5);
+        }
+        let dt = dycore.config.dt_dyn;
+        let alone = |mut s: AtmState| {
+            let mut work = DynWork::new(dycore.grid(), s.nlev);
+            for _ in 0..5 {
+                dycore.substep(&mut s, dt, &mut work);
+            }
+            dycore.step_model_dynamics(&mut s);
+            bits(&s)
+        };
+        let (a_alone, b_alone) = (alone(a.clone()), alone(b.clone()));
+
+        let mut work = DynWork::new(dycore.grid(), a.nlev);
+        for _ in 0..5 {
+            dycore.substep(&mut a, dt, &mut work);
+            dycore.substep(&mut b, dt, &mut work);
+        }
+        dycore.step_model_dynamics(&mut a);
+        dycore.step_model_dynamics(&mut b);
+        assert!(bits(&a) == a_alone, "state A changed by sharing scratch");
+        assert!(bits(&b) == b_alone, "state B changed by sharing scratch");
+        assert!(a_alone != b_alone);
     }
 
     #[test]

@@ -18,10 +18,8 @@ fn bench_atm(c: &mut Criterion) {
     let dycore = Dycore::new(std::sync::Arc::clone(&grid), DycoreConfig::for_spacing_km(dx));
     let mut state = AtmState::isothermal(grid, 8, 288.0);
     state.ps[0] += 300.0;
-    let ne = state.nedges();
-    let mut acc = vec![0.0; 8 * ne];
     c.bench_function("atm_dyn_substep_g4", |b| {
-        b.iter(|| dycore.step_dyn(&mut state, dycore.config.dt_dyn, &mut acc));
+        b.iter(|| dycore.step_dyn(&mut state, dycore.config.dt_dyn));
     });
 }
 

@@ -94,10 +94,8 @@ fn run_atm(mixed: bool, steps: usize) -> (Vec<f64>, Vec<f64>) {
     for i in 0..n {
         state.ps[i] += 400.0 * (i as f64 * 0.17).sin();
     }
-    let ne = grid.nedges();
-    let mut acc = vec![0.0; 6 * ne];
     for _ in 0..steps {
-        dycore.step_dyn(&mut state, dycore.config.dt_dyn, &mut acc);
+        dycore.step_dyn(&mut state, dycore.config.dt_dyn);
         if mixed {
             squeeze(&mut state.ps);
             squeeze(&mut state.un);

@@ -1319,15 +1319,19 @@ mod tests {
     #[test]
     fn try_barrier_times_out_and_withdraws_arrival() {
         let world = World::new(2).with_recv_timeout(Duration::from_millis(40));
+        // Rank 1 holds back until rank 0's first attempt has failed, so the
+        // outcome does not depend on thread scheduling.
+        let first_failed = std::sync::Barrier::new(2);
         world.run(|rank| {
             if rank.world_id() == 0 {
                 // Partner is late: first attempt must fail, not hang.
                 let err = rank.try_barrier().unwrap_err();
                 assert!(matches!(err, CommError::Deadlock { rank: 0, .. }));
+                first_failed.wait();
                 // The withdrawn arrival lets a later barrier pair up cleanly.
                 rank.try_barrier().unwrap();
             } else {
-                std::thread::sleep(Duration::from_millis(80));
+                first_failed.wait();
                 rank.try_barrier().unwrap();
             }
         });

@@ -491,23 +491,8 @@ impl CoupledStats {
     }
 }
 
-/// Fit the atmosphere stepping so an integer number of model steps covers
-/// the coupling period (§5.1.1's consistency requirement).
-fn fitted_atm_config(dx_km: f64, period: f64) -> DycoreConfig {
-    let base = DycoreConfig::for_spacing_km(dx_km);
-    let n = (period / base.dt_model).ceil().max(1.0);
-    let dt_model = period / n;
-    let dt_tracer = dt_model / 4.0;
-    let dt_dyn = dt_tracer / 4.0;
-    DycoreConfig {
-        dt_dyn,
-        dt_tracer,
-        dt_model,
-        nu: 0.015 * (dx_km * 1000.0).powi(2) / dt_dyn,
-    }
-}
-
-/// Same fitting for the ocean.
+/// Fit the ocean stepping so an integer number of steps covers the coupling
+/// period (the atmosphere uses [`DycoreConfig::fitted_to_period`]).
 fn fitted_ocn_config(config: &CoupledConfig, period: f64) -> OcnConfig {
     let mut c = OcnConfig::for_grid(
         config.ocn_nlon,
@@ -900,7 +885,7 @@ impl CouplerSide {
         }
         let dycore = Dycore::new(
             std::sync::Arc::clone(&grid),
-            fitted_atm_config(grid.mean_spacing_km(), atm_period),
+            DycoreConfig::fitted_to_period(grid.mean_spacing_km(), atm_period),
         );
         let pdc = PhysicsDynamicsCoupler::new(if config.ai_physics {
             build_ai_driver(config.atm_nlev)

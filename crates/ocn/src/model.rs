@@ -7,7 +7,7 @@ use ap3esm_grid::tripolar::TripolarGrid;
 use ap3esm_physics::constants::CP_SEAWATER;
 
 use crate::eos::density;
-use crate::mixing::CanutoMixing;
+use crate::mixing::{CanutoMixing, MixingColumn};
 use crate::state::OcnState;
 use crate::{G, RHO0};
 
@@ -107,6 +107,8 @@ pub struct OcnModel {
     halo2d: HaloExchange,
     halo3d: HaloExchange,
     mixing: CanutoMixing,
+    /// Column scratch of the vertical mixing, sized to `nlev`.
+    column: MixingColumn,
     /// Packed active-column list (used when `exclude_land`).
     active: Vec<(usize, usize)>,
     /// Columns visited last step (exclusion accounting for Fig. 5).
@@ -124,12 +126,14 @@ impl OcnModel {
         let halo2d = HaloExchange::new(spec.clone(), 100);
         let halo3d = HaloExchange::new(spec, 200);
         let active = state.active_columns();
+        let column = MixingColumn::with_levels(state.nlev);
         OcnModel {
             config,
             state,
             halo2d,
             halo3d,
             mixing: CanutoMixing::default(),
+            column,
             active,
             columns_visited: 0,
         }
@@ -365,45 +369,37 @@ impl OcnModel {
         // --- Vertical mixing (implicit) + surface forcing per column. ---
         let ni = self.state.ni;
         let mixing = self.mixing;
+        // Moved out while the column loop borrows `self` mutably.
+        let mut col = std::mem::take(&mut self.column);
         self.for_active_columns(|st, i, j, idx| {
             let kmax = st.kmt[idx] as usize;
             if kmax == 0 {
                 return;
             }
             let fi = j * ni + i;
-            // Interface diffusivities from Ri.
-            let mut kq = Vec::with_capacity(kmax.saturating_sub(1));
-            for k in 0..kmax.saturating_sub(1) {
-                let dzi = 0.5 * (st.dz[k] + st.dz[k + 1]);
-                let n2 = crate::eos::brunt_vaisala_sq(
-                    st.t[k][idx],
-                    st.s[k][idx],
-                    st.t[k + 1][idx],
-                    st.s[k + 1][idx],
-                    dzi,
-                );
-                let du = (st.u[k][idx] - st.u[k + 1][idx]) / dzi;
-                let dv = (st.v[k][idx] - st.v[k + 1][idx]) / dzi;
-                kq.push(mixing.diffusivity(n2, du * du + dv * dv));
+            for (c, field) in [&mut col.t, &mut col.s, &mut col.u, &mut col.v]
+                .into_iter()
+                .zip([&st.t, &st.s, &st.u, &st.v])
+            {
+                c.clear();
+                c.extend(field[..kmax].iter().map(|level| level[idx]));
             }
-            let dz = &st.dz[..kmax];
-            // Gather columns, diffuse, scatter.
-            let mut col_t: Vec<f64> = (0..kmax).map(|k| st.t[k][idx]).collect();
-            let mut col_s: Vec<f64> = (0..kmax).map(|k| st.s[k][idx]).collect();
-            let mut col_u: Vec<f64> = (0..kmax).map(|k| st.u[k][idx]).collect();
-            let mut col_v: Vec<f64> = (0..kmax).map(|k| st.v[k][idx]).collect();
             let heat_flux = forcing.qnet[fi] / (RHO0 * CP_SEAWATER); // K·m/s
-            mixing.diffuse_implicit(&mut col_t, dz, &kq, dt, heat_flux);
-            mixing.diffuse_implicit(&mut col_s, dz, &kq, dt, forcing.salt_flux[fi]);
-            mixing.diffuse_implicit(&mut col_u, dz, &kq, dt, forcing.taux[fi] / RHO0);
-            mixing.diffuse_implicit(&mut col_v, dz, &kq, dt, forcing.tauy[fi] / RHO0);
+            let fluxes = [
+                heat_flux,
+                forcing.salt_flux[fi],
+                forcing.taux[fi] / RHO0,
+                forcing.tauy[fi] / RHO0,
+            ];
+            mixing.mix_column(&mut col, &st.dz[..kmax], dt, fluxes);
             for k in 0..kmax {
-                st.t[k][idx] = col_t[k];
-                st.s[k][idx] = col_s[k];
-                st.u[k][idx] = col_u[k];
-                st.v[k][idx] = col_v[k];
+                st.t[k][idx] = col.t[k];
+                st.s[k][idx] = col.s[k];
+                st.u[k][idx] = col.u[k];
+                st.v[k][idx] = col.v[k];
             }
         });
+        self.column = col;
 
         // --- Refresh 3-D halos for the next step: one packed message per
         //     neighbor per level (u, v, T, S together). ---

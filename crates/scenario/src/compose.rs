@@ -281,24 +281,8 @@ impl Catalog {
     }
 }
 
-/// The scenario engine's copy of the driver's period fitting (the driver's
-/// helpers are private to `esm::coupled`; the fitting rule is part of the
-/// §5.1.1 coupling contract, duplicated here verbatim).
-pub fn fitted_atm_config(dx_km: f64, period: f64) -> DycoreConfig {
-    let base = DycoreConfig::for_spacing_km(dx_km);
-    let n = (period / base.dt_model).ceil().max(1.0);
-    let dt_model = period / n;
-    let dt_tracer = dt_model / 4.0;
-    let dt_dyn = dt_tracer / 4.0;
-    DycoreConfig {
-        dt_dyn,
-        dt_tracer,
-        dt_model,
-        nu: 0.015 * (dx_km * 1000.0).powi(2) / dt_dyn,
-    }
-}
-
-/// Same fitting for the ocean (single-rank standalone mesh).
+/// The ocean stepping fitted to its coupling period (single-rank standalone
+/// mesh; the atmosphere uses [`DycoreConfig::fitted_to_period`]).
 pub fn fitted_ocn_config(config: &CoupledConfig, period: f64) -> OcnConfig {
     let mut c = OcnConfig::for_grid(
         config.ocn_nlon,
@@ -500,7 +484,7 @@ impl AtmOnlyComponent {
                 *th += p.noise(i);
             }
         }
-        let dycore = Dycore::new(Arc::clone(&grid), fitted_atm_config(dx_km, period));
+        let dycore = Dycore::new(Arc::clone(&grid), DycoreConfig::fitted_to_period(dx_km, period));
         let pdc = PhysicsDynamicsCoupler::new(PhysicsDriver::Conventional(
             ConventionalSuite::default(),
         ));
